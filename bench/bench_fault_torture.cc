@@ -7,7 +7,7 @@
  * matter when power dies; this campaign measures exactly that, and
  * emits a machine-readable JSON summary whose seed replays the run.
  *
- * The same kill list runs four times: on the trace tier and the DBT
+ * The same kill list runs four times: on the interpreter and the DBT
  * tier with replay-from-boot (FS_NO_SNAPSHOT pinned -- the historical
  * "campaign" and "campaign_dbt" phases), then with snapshot forking
  * ("campaign_snapshot") and with forking plus convergence memoization
@@ -198,7 +198,7 @@ main(int argc, char **argv)
         std::getenv("FS_NO_SNAPSHOT") != nullptr;
     setenv("FS_NO_SNAPSHOT", "1", 1);
 
-    // Campaign 1: trace tier only. The kill switch must stay set for
+    // Campaign 1: interpreter only. The kill switch must stay set for
     // the replays (every replay builds a fresh hart that reads the
     // environment at construction); respect an externally forced-off
     // DBT so CI's FS_NO_DBT leg measures what it says.
@@ -249,7 +249,7 @@ main(int argc, char **argv)
     // Campaign 2: the identical kill list with the DBT tier up. The
     // translation tier must not change a single outcome bit; its
     // kills/sec lands in the ledger next to the baseline, with the
-    // trace campaign's rate in the baseline column so the tier
+    // interpreter campaign's rate in the baseline column so the tier
     // speedup is machine readable.
     if (!dbt_forced_off)
         unsetenv("FS_NO_DBT");

@@ -18,20 +18,9 @@ budgetFromEnv()
                                     1u << 30));
 }
 
-std::uint32_t
-hotThresholdFromEnv()
-{
-    return std::uint32_t(util::envU64("FS_DBT_HOT_THRESHOLD",
-                                      DbtCache::kDefaultHotThreshold, 1,
-                                      1u << 30));
-}
-
 } // namespace
 
-DbtCache::DbtCache()
-    : budget_(budgetFromEnv()), hot_threshold_(hotThresholdFromEnv())
-{
-}
+DbtCache::DbtCache() : budget_(budgetFromEnv()) {}
 
 bool
 DbtCache::enabledByEnv()

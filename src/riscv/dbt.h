@@ -1,11 +1,11 @@
 /**
  * @file
- * Dynamic-binary-translation tier above the trace cache.
+ * Dynamic-binary-translation tier: the hart's fast executor.
  *
- * The trace cache (PR 4) decodes each basic block once but still pays
- * a full `switch` dispatch, operand re-extraction, and a pc-divergence
- * compare per micro-op, plus a cache lookup per block per loop
- * iteration. This tier lowers hot trace-cache blocks one step further
+ * On a cache miss the hart decodes a superblock straight from a
+ * direct-window host pointer -- a straight-line run that continues
+ * across not-taken conditional branches and ends at jal/jalr, the
+ * first strict op, or kMaxBlockOps -- and lowers it on first sight
  * into contiguous *threaded code*: every guest instruction becomes a
  * DbtOp carrying a direct handler pointer (computed-goto dispatch
  * under GCC/Clang, a switch fallback elsewhere -- see
@@ -18,17 +18,17 @@
  * edges patch a per-op `chain` pointer on first use -- so hot loops
  * execute without returning to the outer dispatch loop.
  *
- * Correctness contract (identical to the trace cache's): execution is
- * bounded by the SoC event horizon (a block or chained successor is
- * only entered when its worst-case cost still fits strictly under the
- * remaining budget), the cache is flushed by the same triggers
- * (stores into translated code, reset, powerFail, image loads), and
+ * Correctness contract: execution is bounded by the SoC event horizon
+ * (a block or chained successor is only entered when its worst-case
+ * cost fits strictly under the remaining budget; the tail up to the
+ * horizon runs on the interpreter), the cache is flushed on stores
+ * into translated code, reset, powerFail, and image loads, and
  * system/CSR/custom ops are never translated: a superblock covers
  * only the prefix up to the first strict op and exits to it, so those
- * ops stay on the trace tier where per-instruction counter commits
+ * ops run on the interpreter, whose per-instruction counter commits
  * keep `mcycle`/`minstret` exact. Results are bit-identical to the
- * interpreter at any thread count; FS_NO_DBT disables the tier
- * (mirroring FS_NO_TRACE_CACHE).
+ * interpreter at any thread count; FS_NO_DBT leaves the interpreter
+ * alone as the oracle.
  *
  * Invariants the executor relies on (established by translation):
  *  - pure ALU/const ops with rd == x0 are lowered to kNop (handlers
@@ -37,9 +37,8 @@
  *  - every block ends in a control transfer (kJal/kJalr) or an
  *    explicit kFallthrough pseudo-op, so dispatch never runs off the
  *    end of the op array;
- *  - worstTotal is the same worst-case sum the trace tier uses, so
- *    the entry/chain budget guards compose with Soc::eventHorizon
- *    exactly as the trace tier's lean path does.
+ *  - worstTotal sums each op's worst-case cost, so the entry/chain
+ *    budget guards compose with Soc::eventHorizon.
  */
 
 #ifndef FS_RISCV_DBT_H_
@@ -52,22 +51,27 @@
 #include <unordered_map>
 #include <vector>
 
+#include "riscv/semantics.h"
+
 namespace fs {
 namespace riscv {
 
 struct DbtBlock;
 
 /** Threaded-code opcodes (the switch fallback dispatches on these;
- *  the computed-goto dispatcher uses DbtOp::handler directly). */
+ *  the computed-goto dispatcher uses DbtOp::handler directly). The
+ *  instruction opcodes come from the semantics tables, in table
+ *  order. */
 enum class DbtOpcode : std::uint16_t {
-    kNop,    ///< fence, and any pure ALU op with rd == x0
-    kConst,  ///< rd <- imm (lui, auipc and li pre-folded)
-    kAddi, kSlti, kSltiu, kXori, kOri, kAndi, kSlli, kSrli, kSrai,
-    kAdd, kSub, kSll, kSlt, kSltu, kXor, kSrl, kSra, kOr, kAnd,
-    kMul, kMulh, kMulhsu, kMulhu, kDiv, kDivu, kRem, kRemu,
-    kLb, kLh, kLw, kLbu, kLhu,
-    kSb, kSh, kSw,
-    kBeq, kBne, kBlt, kBge, kBltu, kBgeu,
+    kNop,   ///< fence, and any pure ALU op with rd == x0
+    kConst, ///< rd <- imm (lui, auipc and li pre-folded)
+#define FS_DBT_OPCODE(name, ...) k##name,
+    FS_RV_ALU_OPS(FS_DBT_OPCODE)
+    FS_RV_ALU_IMM_OPS(FS_DBT_OPCODE)
+    FS_RV_LOAD_OPS(FS_DBT_OPCODE)
+    FS_RV_STORE_OPS(FS_DBT_OPCODE)
+    FS_RV_BRANCH_OPS(FS_DBT_OPCODE)
+#undef FS_DBT_OPCODE
     kJal,         ///< terminal: link + chain to static target
     kJalr,        ///< terminal: link + dispatch exit (dynamic target)
     kFallthrough, ///< terminal pseudo-op: chain to the next block
@@ -99,8 +103,8 @@ struct DbtOp {
  *  bookkeeping needed to unlink it on eviction. */
 struct DbtBlock {
     std::uint32_t base = 0;
-    /** Same worst-case cycle sum the trace tier computes: the entry
-     *  and chain guards compare it against the remaining budget. */
+    /** Sum of every op's worst-case cycle cost: the entry and chain
+     *  guards compare it against the remaining budget. */
     std::uint64_t worstTotal = 0;
     std::vector<DbtOp> ops;
     /** Chain slots in *other* blocks (or this one: self-loops are
@@ -134,9 +138,8 @@ struct DbtStats {
 /**
  * Translation cache: owns the threaded-code blocks, enforces a byte
  * budget with LRU-ish eviction (evicting a block unlinks every chain
- * into and out of it), and tracks the same conservative code extent
- * and generation counter the trace cache uses for self-modifying-code
- * flushes.
+ * into and out of it), and tracks a conservative code extent and a
+ * generation counter for self-modifying-code flushes.
  */
 class DbtCache
 {
@@ -147,9 +150,8 @@ class DbtCache
     /** Default translation-cache byte budget (FS_DBT_CACHE_BYTES). */
     static constexpr std::size_t kDefaultBudgetBytes = 8u << 20;
 
-    /** Trace-block executions before promotion to threaded code
-     *  (FS_DBT_HOT_THRESHOLD). */
-    static constexpr std::uint32_t kDefaultHotThreshold = 4;
+    /** Cap on guest instructions per superblock. */
+    static constexpr std::size_t kMaxBlockOps = 64;
 
     DbtCache();
 
@@ -204,7 +206,8 @@ class DbtCache
     }
 
     /** True when [addr, addr+bytes) touches any translated code (one
-     *  conservative extent over all blocks, like the trace cache). */
+     *  conservative extent over all blocks: a hit flushes everything,
+     *  and self-modifying code is rare in the simulated firmware). */
     bool
     overlapsCode(std::uint32_t addr, unsigned bytes) const
     {
@@ -227,9 +230,6 @@ class DbtCache
      *  eviction); takes effect at the next insert. */
     void setBudgetBytes(std::size_t bytes) { budget_ = bytes; }
 
-    std::uint32_t hotThreshold() const { return hot_threshold_; }
-    void setHotThreshold(std::uint32_t t) { hot_threshold_ = t; }
-
     const DbtStats &stats() const { return stats_; }
     DbtStats &stats() { return stats_; }
 
@@ -251,7 +251,6 @@ class DbtCache
         blocks_;
     std::size_t bytes_ = 0;
     std::size_t budget_ = kDefaultBudgetBytes;
-    std::uint32_t hot_threshold_ = kDefaultHotThreshold;
     std::uint32_t code_lo_ = 0;
     std::uint32_t code_hi_ = 0;
     std::uint64_t generation_ = 0;

@@ -2,17 +2,12 @@
 
 #include <sstream>
 
+#include "riscv/semantics.h"
+
 namespace fs {
 namespace riscv {
 
 namespace {
-
-std::int32_t
-signExtend(std::uint32_t value, unsigned bits)
-{
-    const std::uint32_t mask = 1u << (bits - 1);
-    return std::int32_t((value ^ mask) - mask);
-}
 
 std::int32_t
 immI(Word inst)
@@ -279,22 +274,6 @@ decode(Word inst)
         }
       default:
         return illegal(inst);
-    }
-}
-
-bool
-endsBasicBlock(const Decoded &d)
-{
-    switch (d.cls) {
-      case InstrClass::kJal:
-      case InstrClass::kJalr:
-      case InstrClass::kSystem:
-      case InstrClass::kCsr:
-      case InstrClass::kCustom:
-      case InstrClass::kIllegal:
-        return true;
-      default:
-        return false;
     }
 }
 

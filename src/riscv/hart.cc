@@ -1,20 +1,15 @@
 #include "riscv/hart.h"
 
 #include <algorithm>
+#include <iterator>
 
+#include "riscv/semantics.h"
 #include "util/logging.h"
 
 namespace fs {
 namespace riscv {
 
 namespace {
-
-std::int32_t
-signExtend(std::uint32_t value, unsigned bits)
-{
-    const std::uint32_t mask = 1u << (bits - 1);
-    return std::int32_t((value ^ mask) - mask);
-}
 
 /** Little-endian load from a direct window's host memory. */
 std::uint32_t
@@ -35,8 +30,7 @@ loadDirect(const std::uint8_t *p, unsigned bytes)
 FsCoprocessor::~FsCoprocessor() = default;
 
 Hart::Hart(MemoryDevice &bus)
-    : bus_(bus), trace_on_(TraceCache::enabledByEnv()),
-      dbt_on_(DbtCache::enabledByEnv())
+    : bus_(bus), dbt_on_(DbtCache::enabledByEnv())
 {
 }
 
@@ -154,20 +148,16 @@ Hart::findWindow(std::uint32_t addr, unsigned bytes)
 Word
 Hart::fetch()
 {
-    if (trace_on_) {
-        if (const DirectWindow *w = findWindow(pc_, 4))
-            return loadDirect(w->data + (pc_ - w->base), 4);
-    }
+    if (const DirectWindow *w = findWindow(pc_, 4))
+        return loadDirect(w->data + (pc_ - w->base), 4);
     return bus_.read(pc_, 4);
 }
 
 std::uint32_t
 Hart::load(std::uint32_t addr, unsigned bytes)
 {
-    if (trace_on_) {
-        if (const DirectWindow *w = findWindow(addr, bytes))
-            return loadDirect(w->data + (addr - w->base), bytes);
-    }
+    if (const DirectWindow *w = findWindow(addr, bytes))
+        return loadDirect(w->data + (addr - w->base), bytes);
     syncSlowAccess();
     return bus_.read(addr, bytes);
 }
@@ -175,21 +165,16 @@ Hart::load(std::uint32_t addr, unsigned bytes)
 void
 Hart::store(std::uint32_t addr, std::uint32_t value, unsigned bytes)
 {
-    if (trace_on_) {
-        // Self-modifying store into cached code: drop the cache before
-        // anything can re-enter a stale block. The DBT tier keeps its
-        // own (tighter) extent and generation.
-        if (trace_.overlapsCode(addr, bytes))
-            trace_.flush();
-        if (dbt_.overlapsCode(addr, bytes))
-            dbt_.flush();
-        if (const DirectWindow *w = findWindow(addr, bytes)) {
-            // Stores keep the virtual dispatch (NVM write filters,
-            // tear bookkeeping, write counters must all see them) but
-            // skip the bus's region decode.
-            w->device->write(addr - w->deviceBase, value, bytes);
-            return;
-        }
+    // Self-modifying store into translated code: drop the cache before
+    // anything can re-enter a stale block.
+    if (dbt_.overlapsCode(addr, bytes))
+        dbt_.flush();
+    if (const DirectWindow *w = findWindow(addr, bytes)) {
+        // Stores keep the virtual dispatch (NVM write filters, tear
+        // bookkeeping, write counters must all see them) but skip the
+        // bus's region decode.
+        w->device->write(addr - w->deviceBase, value, bytes);
+        return;
     }
     syncSlowAccess();
     bus_.write(addr, value, bytes);
@@ -227,24 +212,12 @@ Hart::run(std::uint64_t max_cycles)
 {
     std::uint64_t spent = 0;
     while (!halted_ && spent < max_cycles) {
-        if (trace_on_) {
-            spent += runDecoded(max_cycles - spent);
-            if (halted_ || spent >= max_cycles)
-                break;
-        }
+        spent += runTranslated(max_cycles - spent);
+        if (halted_ || spent >= max_cycles)
+            break;
         spent += step();
     }
     return spent;
-}
-
-void
-Hart::setTraceCacheEnabled(bool on)
-{
-    if (trace_on_ != on) {
-        trace_.flush();
-        dbt_.flush();
-    }
-    trace_on_ = on;
 }
 
 void
@@ -256,243 +229,32 @@ Hart::setDbtEnabled(bool on)
 }
 
 std::uint64_t
-Hart::worstCost(const Decoded &d) const
+Hart::runTranslated(std::uint64_t budget)
 {
-    switch (d.cls) {
-      case InstrClass::kLoad:
-      case InstrClass::kStore:
-        return costs_.loadStore;
-      case InstrClass::kBranch:
-      case InstrClass::kJal:
-      case InstrClass::kJalr:
-        return std::max(costs_.branchTaken, costs_.alu);
-      case InstrClass::kMul:
-        return costs_.mul;
-      case InstrClass::kDiv:
-        return costs_.div;
-      case InstrClass::kCsr:
-        return costs_.csr;
-      case InstrClass::kSystem:
-        return std::max<std::uint64_t>(costs_.trap, 1); // wfi costs 1
-      case InstrClass::kCustom:
-        return std::max(costs_.csr, costs_.alu);
-      default:
-        return costs_.alu;
-    }
-}
-
-const TraceBlock *
-Hart::buildBlock()
-{
-    const DirectWindow *w = findWindow(pc_, 4);
-    if (!w)
-        return nullptr; // MMIO-resident code: interpreter only
-    TraceBlock block;
-    block.base = pc_;
-    const std::uint64_t window_end = std::uint64_t(w->base) + w->span;
-    std::uint32_t pc = pc_;
-    while (block.ops.size() < TraceCache::kMaxBlockOps &&
-           std::uint64_t(pc) + 4 <= window_end) {
-        const Word raw = loadDirect(w->data + (pc - w->base), 4);
-        const Decoded d = decode(raw);
-        if (d.op == Mnemonic::kIllegal)
-            break; // let the interpreter report it at its own pc
-        const std::uint64_t worst = worstCost(d);
-        block.ops.push_back({d, worst});
-        block.worstTotal += worst;
-        if (d.cls == InstrClass::kLoad)
-            block.hasLoad = true;
-        else if (d.cls == InstrClass::kStore)
-            block.hasStore = true;
-        else if (d.cls == InstrClass::kSystem ||
-                 d.cls == InstrClass::kCustom ||
-                 d.cls == InstrClass::kCsr)
-            block.needsStrictChecks = true;
-        pc += 4;
-        if (endsBasicBlock(d))
-            break;
-    }
-    if (block.ops.empty())
-        return nullptr;
-    return &trace_.insert(std::move(block));
-}
-
-// Flattened: inlines executeDecoded (and the cache probe) into the
-// dispatch loops, which is worth ~10% MIPS on branchy guest code.
-__attribute__((flatten)) std::uint64_t
-Hart::runDecoded(std::uint64_t budget)
-{
-    if (!trace_on_ || halted_ || wfi_ || interruptPending())
+    if (!dbt_on_ || halted_ || wfi_ || cycles_ < tail_end_ ||
+        interruptPending())
         return 0;
     std::uint64_t spent = 0;
     slow_event_ = false;
     for (;;) {
-        // Tier 3: translated threaded code. Entered only when the
-        // whole superblock's worst case fits strictly under the
-        // budget, exactly like the lean trace path below; chaining
-        // inside runDbt repeats the same guard per successor.
-        bool dbt_missed = false;
-        if (dbt_on_) {
-            DbtBlock *tb = dbt_.lookup(pc_);
-            if (tb != nullptr) {
-                if (spent + tb->worstTotal < budget) {
-                    spent += runDbt(tb, budget - spent);
-                    if (halted_ || wfi_ || slow_event_ ||
-                        interruptPending())
-                        break;
-                    continue;
-                }
-                // Budget too tight for the whole superblock: use the
-                // trace paths (per-op budget checks) this dispatch.
-            } else {
-                dbt_missed = true;
-            }
-        }
-        const TraceBlock *block = trace_.lookup(pc_);
-        if (!block)
-            block = buildBlock();
-        if (!block)
-            break; // pc outside direct-window memory
-        // Tier promotion: a trace block that has been dispatched
-        // hotThreshold times is lowered to threaded code. Translation
-        // stops at the first strict-check op (system/CSR/custom stay
-        // on this tier, where per-instruction counter commits keep
-        // mcycle exact) and refuses blocks that *start* with one --
-        // the refusal is cached on the block so it is not retried.
-        // The `>=` lets a previously hot block re-translate
-        // immediately after an eviction.
-        if (dbt_missed && !block->dbtReject &&
-            ++block->heat >= dbt_.hotThreshold()) {
-            DbtBlock *tb = translateBlock(*block);
-            if (tb == nullptr)
-                block->dbtReject = true;
-            if (tb != nullptr && spent + tb->worstTotal < budget) {
-                spent += runDbt(tb, budget - spent);
-                if (halted_ || wfi_ || slow_event_ ||
-                    interruptPending())
-                    break;
-                continue;
-            }
-        }
-        if (!block->needsStrictChecks &&
-            spent + block->worstTotal < budget) {
-            // Lean whole-block dispatch: the block fits strictly under
-            // the budget and nothing in it can halt or read the
-            // retired-instruction counter. cycles_ still commits per
-            // op so the slow-access hook syncs the peripheral to the
-            // exact instruction-start time on any MMIO access.
-            // Blocks run across not-taken conditional branches; a
-            // taken branch shows up as the pc leaving the straight
-            // line and exits the block (exact: nothing mid-block can
-            // assert an interrupt, see TraceBlock's flag docs).
-            const std::size_t n = block->ops.size();
-            const std::uint32_t base = block->base;
-            std::uint64_t cost = 0;
-            if (!block->hasStore && !block->hasLoad) {
-                // No memory ops: nothing can fire the slow-access
-                // hook, so the counters commit once at block end.
-                std::size_t done = n;
-                for (std::size_t i = 0; i < n; ++i) {
-                    cost += executeDecoded(block->ops[i].inst);
-                    if (pc_ != base + 4u * std::uint32_t(i + 1)) {
-                        done = i + 1;
-                        break;
-                    }
-                }
-                cycles_ += cost;
-                instret_ += done;
-                spent += cost;
-            } else if (!block->hasStore) {
-                // Loads but no stores: cycles_ is only observable at
-                // the instant a load executes (the slow-access hook
-                // syncs the peripheral to it on an MMIO access), so
-                // the running sum commits just before each load and
-                // once at block end.
-                std::size_t done = n;
-                std::uint64_t pending = 0;
-                for (std::size_t i = 0; i < n; ++i) {
-                    const Decoded &inst = block->ops[i].inst;
-                    if (inst.isLoad()) {
-                        cycles_ += pending;
-                        cost += pending;
-                        pending = 0;
-                    }
-                    pending += executeDecoded(inst);
-                    if (pc_ != base + 4u * std::uint32_t(i + 1)) {
-                        done = i + 1;
-                        break;
-                    }
-                }
-                cycles_ += pending;
-                cost += pending;
-                instret_ += done;
-                spent += cost;
-            } else {
-                // Stores additionally re-check the cache generation
-                // (a store into cached code flushes this very block)
-                // and bail on MMIO stores (horizon may have moved).
-                const std::uint64_t gen = trace_.generation();
-                std::size_t done = 0;
-                bool flushed = false;
-                while (done < n) {
-                    const std::uint64_t c =
-                        executeDecoded(block->ops[done].inst);
-                    cycles_ += c;
-                    cost += c;
-                    ++done;
-                    if (trace_.generation() != gen) {
-                        flushed = true;
-                        break;
-                    }
-                    if (slow_event_)
-                        break;
-                    if (pc_ != base + 4u * std::uint32_t(done))
-                        break;
-                }
-                instret_ += done;
-                spent += cost;
-                if (flushed)
-                    continue; // re-lookup at the (new) pc_
-            }
-            if (slow_event_ || interruptPending())
-                break;
-            continue;
-        }
-        const std::uint64_t gen = trace_.generation();
-        const std::size_t n = block->ops.size();
-        bool stop = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceOp &op = block->ops[i];
-            // Stop strictly before the budget can be reached: the
-            // instruction that would cross an event horizon always
-            // runs on the interpreter path, so kills, sample latches,
-            // and interrupts land on the exact interpreter cycle.
-            if (spent + op.worstCost >= budget) {
-                stop = true;
-                break;
-            }
-            const std::uint64_t cost = executeDecoded(op.inst);
-            cycles_ += cost;
-            ++instret_;
-            spent += cost;
-            if (trace_.generation() != gen)
-                break; // block flushed under us; re-lookup at pc_
-            if (slow_event_ || halted_ || wfi_) {
-                stop = true;
-                break;
-            }
-            if (pc_ != block->base + 4u * std::uint32_t(i + 1))
-                break; // taken branch left the straight line
-        }
-        if (stop || halted_ || wfi_ || slow_event_)
+        DbtBlock *block = dbt_.lookup(pc_);
+        if (block == nullptr)
+            block = translate();
+        if (block == nullptr)
+            break; // strict op or MMIO-resident code: step() runs it
+        if (spent + block->worstTotal >= budget) {
+            // The superblock could cross the event horizon: step()
+            // runs the tail, so kills, sample latches and interrupts
+            // land on the exact interpreter cycle.
+            tail_end_ = cycles_ + (budget - spent);
             break;
-        if (interruptPending())
+        }
+        spent += runDbt(block, budget - spent);
+        if (halted_ || wfi_ || slow_event_ || interruptPending())
             break;
     }
     return spent;
 }
-
-// --- DBT tier: translation + threaded-code execution -----------------
 
 // Dispatch strategy: computed goto (direct threading) under GCC/Clang,
 // a switch over DbtOpcode elsewhere. CMake probes for the extension
@@ -510,20 +272,23 @@ Hart::runDecoded(std::uint64_t budget)
 #endif
 
 DbtBlock *
-Hart::translateBlock(const TraceBlock &src)
+Hart::translate()
 {
+    const DirectWindow *w = findWindow(pc_, 4);
+    if (w == nullptr)
+        return nullptr; // MMIO-resident code: interpreter only
 #if FS_DBT_COMPUTED_GOTO
     if (dbt_labels_ == nullptr)
         runDbt(nullptr, 0); // publish the label table
 #endif
     DbtBlock blk;
-    blk.base = src.base;
-    blk.ops.reserve(src.ops.size() + 1);
-    std::uint32_t pc = src.base;
+    blk.base = pc_;
+    const std::uint64_t window_end = std::uint64_t(w->base) + w->span;
+    std::uint32_t pc = pc_;
     bool terminal = false;
-    for (const TraceOp &top : src.ops) {
-        const Decoded &d = top.inst;
-        bool translatable = true;
+    while (!terminal && blk.ops.size() < DbtCache::kMaxBlockOps &&
+           std::uint64_t(pc) + 4 <= window_end) {
+        const Decoded d = decode(loadDirect(w->data + (pc - w->base), 4));
         DbtOp op;
         op.rd = std::uint8_t(d.rd);
         op.rs1 = std::uint8_t(d.rs1);
@@ -533,9 +298,8 @@ Hart::translateBlock(const TraceBlock &src)
         // Pure ALU writes to x0 are architectural no-ops: lower them
         // to kNop (cost preserved) so every other ALU handler may
         // write regs[rd] unguarded.
-        const bool sink = d.rd == 0;
-        const auto alu = [&op, sink](DbtOpcode code) {
-            op.opcode = sink ? DbtOpcode::kNop : code;
+        const auto alu = [&op, &d](DbtOpcode code) {
+            op.opcode = d.rd == 0 ? DbtOpcode::kNop : code;
         };
         switch (d.op) {
           case Mnemonic::kLui:
@@ -548,90 +312,48 @@ Hart::translateBlock(const TraceBlock &src)
             alu(DbtOpcode::kConst);
             op.imm = std::int32_t(pc + std::uint32_t(d.imm));
             break;
-          case Mnemonic::kAddi:
-            alu(d.rs1 == 0 ? DbtOpcode::kConst : DbtOpcode::kAddi);
+#define FS_DBT_XLATE_ALU(name, cost_field, result)                     \
+          case Mnemonic::k##name:                                      \
+            alu(DbtOpcode::k##name);                                   \
+            op.cost = std::uint32_t(costs_.cost_field);                \
             break;
-          case Mnemonic::kSlti:  alu(DbtOpcode::kSlti); break;
-          case Mnemonic::kSltiu: alu(DbtOpcode::kSltiu); break;
-          case Mnemonic::kXori:  alu(DbtOpcode::kXori); break;
-          case Mnemonic::kOri:   alu(DbtOpcode::kOri); break;
-          case Mnemonic::kAndi:  alu(DbtOpcode::kAndi); break;
-          case Mnemonic::kSlli:  alu(DbtOpcode::kSlli); break;
-          case Mnemonic::kSrli:  alu(DbtOpcode::kSrli); break;
-          case Mnemonic::kSrai:  alu(DbtOpcode::kSrai); break;
-          case Mnemonic::kAdd:   alu(DbtOpcode::kAdd); break;
-          case Mnemonic::kSub:   alu(DbtOpcode::kSub); break;
-          case Mnemonic::kSll:   alu(DbtOpcode::kSll); break;
-          case Mnemonic::kSlt:   alu(DbtOpcode::kSlt); break;
-          case Mnemonic::kSltu:  alu(DbtOpcode::kSltu); break;
-          case Mnemonic::kXor:   alu(DbtOpcode::kXor); break;
-          case Mnemonic::kSrl:   alu(DbtOpcode::kSrl); break;
-          case Mnemonic::kSra:   alu(DbtOpcode::kSra); break;
-          case Mnemonic::kOr:    alu(DbtOpcode::kOr); break;
-          case Mnemonic::kAnd:   alu(DbtOpcode::kAnd); break;
+          FS_RV_ALU_OPS(FS_DBT_XLATE_ALU)
+#undef FS_DBT_XLATE_ALU
+#define FS_DBT_XLATE_IMM(name, reg_form)                               \
+          case Mnemonic::k##name:                                      \
+            alu(DbtOpcode::k##name);                                   \
+            break;
+          FS_RV_ALU_IMM_OPS(FS_DBT_XLATE_IMM)
+#undef FS_DBT_XLATE_IMM
           case Mnemonic::kFence:
             op.opcode = DbtOpcode::kNop;
-            break;
-          case Mnemonic::kMul:
-            alu(DbtOpcode::kMul);
-            op.cost = std::uint32_t(costs_.mul);
-            break;
-          case Mnemonic::kMulh:
-            alu(DbtOpcode::kMulh);
-            op.cost = std::uint32_t(costs_.mul);
-            break;
-          case Mnemonic::kMulhsu:
-            alu(DbtOpcode::kMulhsu);
-            op.cost = std::uint32_t(costs_.mul);
-            break;
-          case Mnemonic::kMulhu:
-            alu(DbtOpcode::kMulhu);
-            op.cost = std::uint32_t(costs_.mul);
-            break;
-          case Mnemonic::kDiv:
-            alu(DbtOpcode::kDiv);
-            op.cost = std::uint32_t(costs_.div);
-            break;
-          case Mnemonic::kDivu:
-            alu(DbtOpcode::kDivu);
-            op.cost = std::uint32_t(costs_.div);
-            break;
-          case Mnemonic::kRem:
-            alu(DbtOpcode::kRem);
-            op.cost = std::uint32_t(costs_.div);
-            break;
-          case Mnemonic::kRemu:
-            alu(DbtOpcode::kRemu);
-            op.cost = std::uint32_t(costs_.div);
             break;
           // Loads keep rd == x0 (the access itself must happen: MMIO
           // reads can have side effects); the handler guards the
           // register write.
-          case Mnemonic::kLb:  op.opcode = DbtOpcode::kLb;  goto load;
-          case Mnemonic::kLh:  op.opcode = DbtOpcode::kLh;  goto load;
-          case Mnemonic::kLw:  op.opcode = DbtOpcode::kLw;  goto load;
-          case Mnemonic::kLbu: op.opcode = DbtOpcode::kLbu; goto load;
-          case Mnemonic::kLhu: op.opcode = DbtOpcode::kLhu; goto load;
-          load:
-            op.cost = std::uint32_t(costs_.loadStore);
+#define FS_DBT_XLATE_LOAD(name, bytes, result)                         \
+          case Mnemonic::k##name:                                      \
+            op.opcode = DbtOpcode::k##name;                            \
+            op.cost = std::uint32_t(costs_.loadStore);                 \
             break;
-          case Mnemonic::kSb: op.opcode = DbtOpcode::kSb; goto store;
-          case Mnemonic::kSh: op.opcode = DbtOpcode::kSh; goto store;
-          case Mnemonic::kSw: op.opcode = DbtOpcode::kSw; goto store;
-          store:
-            op.cost = std::uint32_t(costs_.loadStore);
-            op.aux = pc + 4; // exit pc if the store forces a bail-out
+          FS_RV_LOAD_OPS(FS_DBT_XLATE_LOAD)
+#undef FS_DBT_XLATE_LOAD
+#define FS_DBT_XLATE_STORE(name, bytes)                                \
+          case Mnemonic::k##name:                                      \
+            op.opcode = DbtOpcode::k##name;                            \
+            op.cost = std::uint32_t(costs_.loadStore);                 \
+            op.aux = pc + 4; /* exit pc if the store forces a bail-out */ \
             break;
-          case Mnemonic::kBeq:  op.opcode = DbtOpcode::kBeq;  goto branch;
-          case Mnemonic::kBne:  op.opcode = DbtOpcode::kBne;  goto branch;
-          case Mnemonic::kBlt:  op.opcode = DbtOpcode::kBlt;  goto branch;
-          case Mnemonic::kBge:  op.opcode = DbtOpcode::kBge;  goto branch;
-          case Mnemonic::kBltu: op.opcode = DbtOpcode::kBltu; goto branch;
-          case Mnemonic::kBgeu: op.opcode = DbtOpcode::kBgeu; goto branch;
-          branch:
-            op.imm = std::int32_t(pc + std::uint32_t(d.imm)); // abs target
-            op.cost2 = std::uint32_t(costs_.branchTaken);
+          FS_RV_STORE_OPS(FS_DBT_XLATE_STORE)
+#undef FS_DBT_XLATE_STORE
+#define FS_DBT_XLATE_BRANCH(name, cond)                                \
+          case Mnemonic::k##name:                                      \
+            op.opcode = DbtOpcode::k##name;                            \
+            op.imm = std::int32_t(pc + std::uint32_t(d.imm));          \
+            op.cost2 = std::uint32_t(costs_.branchTaken);              \
             break;
+          FS_RV_BRANCH_OPS(FS_DBT_XLATE_BRANCH)
+#undef FS_DBT_XLATE_BRANCH
           case Mnemonic::kJal:
             op.opcode = DbtOpcode::kJal;
             op.imm = std::int32_t(pc + std::uint32_t(d.imm)); // abs target
@@ -647,25 +369,24 @@ Hart::translateBlock(const TraceBlock &src)
             break;
           default:
             // System/CSR/custom/illegal: cut the superblock here. The
-            // translated prefix exits to this pc and the trace tier's
-            // strict path runs the op with per-instruction counter
-            // commits, so mcycle/minstret probes stay exact.
-            translatable = false;
-            break;
+            // translated prefix exits to this pc and the interpreter
+            // runs the op with per-instruction counter commits, so
+            // mcycle/minstret probes stay exact (and an illegal op is
+            // reported at its own pc).
+            goto cut;
         }
-        if (!translatable)
-            break;
+        if (op.opcode == DbtOpcode::kAddi && d.rs1 == 0)
+            op.opcode = DbtOpcode::kConst; // li: x0 + imm
         blk.ops.push_back(op);
-        blk.worstTotal += top.worstCost;
+        blk.worstTotal += std::max(op.cost, op.cost2);
         pc += 4;
-        if (terminal)
-            break;
     }
+cut:
     if (blk.ops.empty())
         return nullptr; // first op already strict: nothing to run here
     if (!terminal) {
-        // The block ended on the op cap, a straight-line boundary, or
-        // a strict-op cutoff: chain to the next pc (no guest cost, no
+        // The block ended on the op cap, the window end, or a
+        // strict-op cutoff: chain to the next pc (no guest cost, no
         // retirement).
         DbtOp op;
         op.opcode = DbtOpcode::kFallthrough;
@@ -702,18 +423,16 @@ __attribute__((flatten)) std::uint64_t
 Hart::runDbt(DbtBlock *block, std::uint64_t budget)
 {
 #if FS_DBT_COMPUTED_GOTO
-    // Order must match DbtOpcode exactly.
-    static const void *const kLabels[std::size_t(DbtOpcode::kCount)] =
-        {&&h_kNop,  &&h_kConst, &&h_kAddi,  &&h_kSlti,   &&h_kSltiu,
-         &&h_kXori, &&h_kOri,   &&h_kAndi,  &&h_kSlli,   &&h_kSrli,
-         &&h_kSrai, &&h_kAdd,   &&h_kSub,   &&h_kSll,    &&h_kSlt,
-         &&h_kSltu, &&h_kXor,   &&h_kSrl,   &&h_kSra,    &&h_kOr,
-         &&h_kAnd,  &&h_kMul,   &&h_kMulh,  &&h_kMulhsu, &&h_kMulhu,
-         &&h_kDiv,  &&h_kDivu,  &&h_kRem,   &&h_kRemu,   &&h_kLb,
-         &&h_kLh,   &&h_kLw,    &&h_kLbu,   &&h_kLhu,    &&h_kSb,
-         &&h_kSh,   &&h_kSw,    &&h_kBeq,   &&h_kBne,    &&h_kBlt,
-         &&h_kBge,  &&h_kBltu,  &&h_kBgeu,  &&h_kJal,    &&h_kJalr,
-         &&h_kFallthrough};
+    // Same tables, same order as the DbtOpcode enum.
+#define FS_DBT_LABEL(name, ...) &&h_k##name,
+    static const void *const kLabels[] = {
+        &&h_kNop, &&h_kConst,
+        FS_RV_ALU_OPS(FS_DBT_LABEL) FS_RV_ALU_IMM_OPS(FS_DBT_LABEL)
+        FS_RV_LOAD_OPS(FS_DBT_LABEL) FS_RV_STORE_OPS(FS_DBT_LABEL)
+        FS_RV_BRANCH_OPS(FS_DBT_LABEL)
+        &&h_kJal, &&h_kJalr, &&h_kFallthrough};
+#undef FS_DBT_LABEL
+    static_assert(std::size(kLabels) == std::size_t(DbtOpcode::kCount));
     if (block == nullptr) {
         dbt_labels_ = kLabels;
         return 0;
@@ -746,210 +465,35 @@ dispatch:
         pending += op->cost;
         FS_DBT_NEXT();
     }
-    FS_DBT_OP(kAddi)
-    {
-        r[op->rd] = r[op->rs1] + std::uint32_t(op->imm);
-        pending += op->cost;
-        FS_DBT_NEXT();
+#define FS_DBT_ALU(name, cost_field, result)                           \
+    FS_DBT_OP(k##name)                                                 \
+    {                                                                  \
+        r[op->rd] = alu##name(r[op->rs1], r[op->rs2]);                 \
+        pending += op->cost;                                           \
+        FS_DBT_NEXT();                                                 \
     }
-    FS_DBT_OP(kSlti)
-    {
-        r[op->rd] = std::int32_t(r[op->rs1]) < op->imm ? 1u : 0u;
-        pending += op->cost;
-        FS_DBT_NEXT();
+    FS_RV_ALU_OPS(FS_DBT_ALU)
+#undef FS_DBT_ALU
+#define FS_DBT_ALU_IMM(name, reg_form)                                 \
+    FS_DBT_OP(k##name)                                                 \
+    {                                                                  \
+        r[op->rd] = alu##reg_form(r[op->rs1], std::uint32_t(op->imm)); \
+        pending += op->cost;                                           \
+        FS_DBT_NEXT();                                                 \
     }
-    FS_DBT_OP(kSltiu)
-    {
-        r[op->rd] = r[op->rs1] < std::uint32_t(op->imm) ? 1u : 0u;
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kXori)
-    {
-        r[op->rd] = r[op->rs1] ^ std::uint32_t(op->imm);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kOri)
-    {
-        r[op->rd] = r[op->rs1] | std::uint32_t(op->imm);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kAndi)
-    {
-        r[op->rd] = r[op->rs1] & std::uint32_t(op->imm);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSlli)
-    {
-        r[op->rd] = r[op->rs1] << (std::uint32_t(op->imm) & 0x1f);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSrli)
-    {
-        r[op->rd] = r[op->rs1] >> (std::uint32_t(op->imm) & 0x1f);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSrai)
-    {
-        r[op->rd] = std::uint32_t(std::int32_t(r[op->rs1]) >>
-                                  (std::uint32_t(op->imm) & 0x1f));
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kAdd)
-    {
-        r[op->rd] = r[op->rs1] + r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSub)
-    {
-        r[op->rd] = r[op->rs1] - r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSll)
-    {
-        r[op->rd] = r[op->rs1] << (r[op->rs2] & 0x1f);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSlt)
-    {
-        r[op->rd] =
-            std::int32_t(r[op->rs1]) < std::int32_t(r[op->rs2]) ? 1u
-                                                                : 0u;
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSltu)
-    {
-        r[op->rd] = r[op->rs1] < r[op->rs2] ? 1u : 0u;
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kXor)
-    {
-        r[op->rd] = r[op->rs1] ^ r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSrl)
-    {
-        r[op->rd] = r[op->rs1] >> (r[op->rs2] & 0x1f);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kSra)
-    {
-        r[op->rd] = std::uint32_t(std::int32_t(r[op->rs1]) >>
-                                  (r[op->rs2] & 0x1f));
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kOr)
-    {
-        r[op->rd] = r[op->rs1] | r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kAnd)
-    {
-        r[op->rd] = r[op->rs1] & r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kMul)
-    {
-        r[op->rd] = r[op->rs1] * r[op->rs2];
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kMulh)
-    {
-        r[op->rd] =
-            std::uint32_t((std::int64_t(std::int32_t(r[op->rs1])) *
-                           std::int64_t(std::int32_t(r[op->rs2]))) >>
-                          32);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kMulhsu)
-    {
-        r[op->rd] =
-            std::uint32_t((std::int64_t(std::int32_t(r[op->rs1])) *
-                           std::int64_t(std::uint64_t(r[op->rs2]))) >>
-                          32);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kMulhu)
-    {
-        r[op->rd] = std::uint32_t((std::uint64_t(r[op->rs1]) *
-                                   std::uint64_t(r[op->rs2])) >>
-                                  32);
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kDiv)
-    {
-        const std::uint32_t a = r[op->rs1];
-        const std::uint32_t b = r[op->rs2];
-        if (b == 0)
-            r[op->rd] = 0xffffffffu;
-        else if (a == 0x80000000u && b == 0xffffffffu)
-            r[op->rd] = 0x80000000u;
-        else
-            r[op->rd] =
-                std::uint32_t(std::int32_t(a) / std::int32_t(b));
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kDivu)
-    {
-        const std::uint32_t b = r[op->rs2];
-        r[op->rd] = b == 0 ? 0xffffffffu : r[op->rs1] / b;
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kRem)
-    {
-        const std::uint32_t a = r[op->rs1];
-        const std::uint32_t b = r[op->rs2];
-        if (b == 0)
-            r[op->rd] = a;
-        else if (a == 0x80000000u && b == 0xffffffffu)
-            r[op->rd] = 0;
-        else
-            r[op->rd] =
-                std::uint32_t(std::int32_t(a) % std::int32_t(b));
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
-    FS_DBT_OP(kRemu)
-    {
-        const std::uint32_t b = r[op->rs2];
-        r[op->rd] = b == 0 ? r[op->rs1] : r[op->rs1] % b;
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
+    FS_RV_ALU_IMM_OPS(FS_DBT_ALU_IMM)
+#undef FS_DBT_ALU_IMM
 
     // Loads serve the direct-window fast path inline; the slow (MMIO)
     // path commits the pending cycles first so the peripheral's
     // time-sync hook sees exactly the interpreter's cycle count, then
     // flags the dispatch exit via slow_event_ (checked at the next
     // chain point -- MMIO *reads* never move an event horizon or
-    // raise an interrupt, so finishing the block is exact; see
-    // TraceBlock's flag docs).
-#define FS_DBT_LOAD(width, transform)                                  \
-    do {                                                               \
-        const std::uint32_t addr =                                     \
-            r[op->rs1] + std::uint32_t(op->imm);                       \
+    // raise an interrupt, so finishing the block is exact).
+#define FS_DBT_LOAD(name, width, result)                               \
+    FS_DBT_OP(k##name)                                                 \
+    {                                                                  \
+        const std::uint32_t addr = r[op->rs1] + std::uint32_t(op->imm); \
         std::uint32_t v;                                               \
         if (const DirectWindow *w = findWindow(addr, width)) {         \
             v = loadDirect(w->data + (addr - w->base), width);         \
@@ -960,32 +504,26 @@ dispatch:
             v = bus_.read(addr, width);                                \
         }                                                              \
         if (op->rd)                                                    \
-            r[op->rd] = transform;                                     \
+            r[op->rd] = extend##name(v);                               \
         pending += op->cost;                                           \
         FS_DBT_NEXT();                                                 \
-    } while (0)
-
-    FS_DBT_OP(kLb) { FS_DBT_LOAD(1, std::uint32_t(signExtend(v, 8))); }
-    FS_DBT_OP(kLh) { FS_DBT_LOAD(2, std::uint32_t(signExtend(v, 16))); }
-    FS_DBT_OP(kLw) { FS_DBT_LOAD(4, v); }
-    FS_DBT_OP(kLbu) { FS_DBT_LOAD(1, v); }
-    FS_DBT_OP(kLhu) { FS_DBT_LOAD(2, v); }
+    }
+    FS_RV_LOAD_OPS(FS_DBT_LOAD)
+#undef FS_DBT_LOAD
 
     // Stores mirror Hart::store (flush checks first, virtual device
     // write so NVM filters/tear bookkeeping always run), then re-check
     // the DBT generation: a store into translated code freed this very
     // op array, so the exit pc is stashed in locals beforehand. MMIO
     // stores (slow_event_) can move an event horizon and exit too.
-#define FS_DBT_STORE(width)                                            \
-    do {                                                               \
-        const std::uint32_t addr =                                     \
-            r[op->rs1] + std::uint32_t(op->imm);                       \
+#define FS_DBT_STORE(name, width)                                      \
+    FS_DBT_OP(k##name)                                                 \
+    {                                                                  \
+        const std::uint32_t addr = r[op->rs1] + std::uint32_t(op->imm); \
         const std::uint32_t value = r[op->rs2];                        \
         const std::uint32_t next = op->aux;                            \
         const std::uint32_t cost = op->cost;                           \
         const std::uint64_t gen = dbt_.generation();                   \
-        if (trace_.overlapsCode(addr, width))                          \
-            trace_.flush();                                            \
         if (dbt_.overlapsCode(addr, width))                            \
             dbt_.flush();                                              \
         if (const DirectWindow *w = findWindow(addr, width)) {         \
@@ -1004,34 +542,20 @@ dispatch:
         }                                                              \
         ++op;                                                          \
         FS_DBT_ENTER();                                                \
-    } while (0)
+    }
+    FS_RV_STORE_OPS(FS_DBT_STORE)
+#undef FS_DBT_STORE
 
-    FS_DBT_OP(kSb) { FS_DBT_STORE(1); }
-    FS_DBT_OP(kSh) { FS_DBT_STORE(2); }
-    FS_DBT_OP(kSw) { FS_DBT_STORE(4); }
-
-#define FS_DBT_BRANCH(cond)                                            \
-    do {                                                               \
-        if (cond)                                                      \
+#define FS_DBT_BRANCH(name, cond)                                      \
+    FS_DBT_OP(k##name)                                                 \
+    {                                                                  \
+        if (taken##name(r[op->rs1], r[op->rs2]))                       \
             goto branch_taken;                                         \
         pending += op->cost;                                           \
         FS_DBT_NEXT();                                                 \
-    } while (0)
-
-    FS_DBT_OP(kBeq) { FS_DBT_BRANCH(r[op->rs1] == r[op->rs2]); }
-    FS_DBT_OP(kBne) { FS_DBT_BRANCH(r[op->rs1] != r[op->rs2]); }
-    FS_DBT_OP(kBlt)
-    {
-        FS_DBT_BRANCH(std::int32_t(r[op->rs1]) <
-                      std::int32_t(r[op->rs2]));
     }
-    FS_DBT_OP(kBge)
-    {
-        FS_DBT_BRANCH(std::int32_t(r[op->rs1]) >=
-                      std::int32_t(r[op->rs2]));
-    }
-    FS_DBT_OP(kBltu) { FS_DBT_BRANCH(r[op->rs1] < r[op->rs2]); }
-    FS_DBT_OP(kBgeu) { FS_DBT_BRANCH(r[op->rs1] >= r[op->rs2]); }
+    FS_RV_BRANCH_OPS(FS_DBT_BRANCH)
+#undef FS_DBT_BRANCH
 
     FS_DBT_OP(kJal)
     {
@@ -1047,7 +571,7 @@ dispatch:
         // re-enters translated code immediately on a hit). rs1 is
         // read before the link write, as the interpreter does.
         const std::uint32_t target =
-            (r[op->rs1] + std::uint32_t(op->imm)) & ~1u;
+            jalrTarget(r[op->rs1], std::uint32_t(op->imm));
         if (op->rd)
             r[op->rd] = op->aux;
         pending += op->cost;
@@ -1062,6 +586,8 @@ dispatch:
     }
 
 #if !FS_DBT_COMPUTED_GOTO
+      case DbtOpcode::kCount:
+        break;
     }
     fatal("corrupt DBT opcode at pc 0x", std::hex, pc_);
 #endif
@@ -1072,11 +598,11 @@ branch_taken:
     // fall through to the chain follow (target in op->imm)
 
 chain_follow: {
-    // Direct block->block transfer. The guard set matches the lean
-    // trace path's block boundary exactly: bail to the outer loop on
-    // a slow event or pending interrupt, and never enter a successor
-    // whose worst case could cross the event horizon. Links are
-    // patched lazily on first use and unlinked on eviction/flush.
+    // Direct block->block transfer. The guard set matches
+    // runTranslated's block boundary exactly: bail to the outer loop
+    // on a slow event or pending interrupt, and never enter a
+    // successor whose worst case could cross the event horizon. Links
+    // are patched lazily on first use and unlinked on eviction/flush.
     const std::uint32_t target = std::uint32_t(op->imm);
     DbtBlock *next = op->chain;
     if (next == nullptr) {
@@ -1110,9 +636,6 @@ done: {
 #undef FS_DBT_OP
 #undef FS_DBT_ENTER
 #undef FS_DBT_NEXT
-#undef FS_DBT_LOAD
-#undef FS_DBT_STORE
-#undef FS_DBT_BRANCH
 
 void
 Hart::powerFail()
@@ -1122,9 +645,8 @@ Hart::powerFail()
     csrs_.fill(0);
     wfi_ = false;
     halted_ = true;
-    // Cached blocks may have been decoded from volatile (SRAM) code
-    // that just decayed.
-    trace_.flush();
+    // Translated blocks may have been decoded from volatile (SRAM)
+    // code that just decayed.
     dbt_.flush();
 }
 
@@ -1137,8 +659,7 @@ Hart::reset(std::uint32_t pc)
     wfi_ = false;
     halted_ = false;
     // Reset commonly follows reloading code memory (tests load a new
-    // image and reset): decoded blocks must not outlive the image.
-    trace_.flush();
+    // image and reset): translated blocks must not outlive the image.
     dbt_.flush();
 }
 
@@ -1166,6 +687,7 @@ Hart::restoreArch(const ArchState &s)
     instret_ = s.instret;
     wfi_ = s.wfi;
     halted_ = s.halted;
+    tail_end_ = 0; // cycles_ may have moved back past a pending tail
 }
 
 std::uint64_t
@@ -1191,184 +713,45 @@ Hart::executeDecoded(const Decoded &d)
         break;
       case Mnemonic::kJalr:
         setReg(d.rd, pc_ + 4);
-        next_pc = (a + imm) & ~1u;
+        next_pc = jalrTarget(a, imm);
         cost = costs_.branchTaken;
         break;
-      case Mnemonic::kBeq:
-        if (a == b) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
+#define FS_RV_EXEC_BRANCH(name, cond)                                  \
+      case Mnemonic::k##name:                                          \
+        if (taken##name(a, b)) {                                       \
+            next_pc = pc_ + imm;                                       \
+            cost = costs_.branchTaken;                                 \
+        }                                                              \
         break;
-      case Mnemonic::kBne:
-        if (a != b) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
+      FS_RV_BRANCH_OPS(FS_RV_EXEC_BRANCH)
+#undef FS_RV_EXEC_BRANCH
+#define FS_RV_EXEC_LOAD(name, bytes, result)                           \
+      case Mnemonic::k##name:                                          \
+        setReg(d.rd, extend##name(load(a + imm, bytes)));              \
+        cost = costs_.loadStore;                                       \
         break;
-      case Mnemonic::kBlt:
-        if (std::int32_t(a) < std::int32_t(b)) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
+      FS_RV_LOAD_OPS(FS_RV_EXEC_LOAD)
+#undef FS_RV_EXEC_LOAD
+#define FS_RV_EXEC_STORE(name, bytes)                                  \
+      case Mnemonic::k##name:                                          \
+        store(a + imm, b, bytes);                                      \
+        cost = costs_.loadStore;                                       \
         break;
-      case Mnemonic::kBge:
-        if (std::int32_t(a) >= std::int32_t(b)) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
+      FS_RV_STORE_OPS(FS_RV_EXEC_STORE)
+#undef FS_RV_EXEC_STORE
+#define FS_RV_EXEC_ALU(name, cost_field, result)                       \
+      case Mnemonic::k##name:                                          \
+        setReg(d.rd, alu##name(a, b));                                 \
+        cost = costs_.cost_field;                                      \
         break;
-      case Mnemonic::kBltu:
-        if (a < b) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
+      FS_RV_ALU_OPS(FS_RV_EXEC_ALU)
+#undef FS_RV_EXEC_ALU
+#define FS_RV_EXEC_ALU_IMM(name, reg_form)                             \
+      case Mnemonic::k##name:                                          \
+        setReg(d.rd, alu##reg_form(a, imm));                           \
         break;
-      case Mnemonic::kBgeu:
-        if (a >= b) {
-            next_pc = pc_ + imm;
-            cost = costs_.branchTaken;
-        }
-        break;
-      case Mnemonic::kLb:
-        setReg(d.rd, std::uint32_t(signExtend(load(a + imm, 1), 8)));
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kLh:
-        setReg(d.rd, std::uint32_t(signExtend(load(a + imm, 2), 16)));
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kLw:
-        setReg(d.rd, load(a + imm, 4));
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kLbu:
-        setReg(d.rd, load(a + imm, 1));
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kLhu:
-        setReg(d.rd, load(a + imm, 2));
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kSb:
-        store(a + imm, b, 1);
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kSh:
-        store(a + imm, b, 2);
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kSw:
-        store(a + imm, b, 4);
-        cost = costs_.loadStore;
-        break;
-      case Mnemonic::kAddi:
-        setReg(d.rd, a + imm);
-        break;
-      case Mnemonic::kSlti:
-        setReg(d.rd, std::int32_t(a) < d.imm ? 1 : 0);
-        break;
-      case Mnemonic::kSltiu:
-        setReg(d.rd, a < imm ? 1 : 0);
-        break;
-      case Mnemonic::kXori:
-        setReg(d.rd, a ^ imm);
-        break;
-      case Mnemonic::kOri:
-        setReg(d.rd, a | imm);
-        break;
-      case Mnemonic::kAndi:
-        setReg(d.rd, a & imm);
-        break;
-      case Mnemonic::kSlli:
-        setReg(d.rd, a << (imm & 0x1f));
-        break;
-      case Mnemonic::kSrli:
-        setReg(d.rd, a >> (imm & 0x1f));
-        break;
-      case Mnemonic::kSrai:
-        setReg(d.rd, std::uint32_t(std::int32_t(a) >> (imm & 0x1f)));
-        break;
-      case Mnemonic::kAdd:
-        setReg(d.rd, a + b);
-        break;
-      case Mnemonic::kSub:
-        setReg(d.rd, a - b);
-        break;
-      case Mnemonic::kSll:
-        setReg(d.rd, a << (b & 0x1f));
-        break;
-      case Mnemonic::kSlt:
-        setReg(d.rd, std::int32_t(a) < std::int32_t(b) ? 1 : 0);
-        break;
-      case Mnemonic::kSltu:
-        setReg(d.rd, a < b ? 1 : 0);
-        break;
-      case Mnemonic::kXor:
-        setReg(d.rd, a ^ b);
-        break;
-      case Mnemonic::kSrl:
-        setReg(d.rd, a >> (b & 0x1f));
-        break;
-      case Mnemonic::kSra:
-        setReg(d.rd, std::uint32_t(std::int32_t(a) >> (b & 0x1f)));
-        break;
-      case Mnemonic::kOr:
-        setReg(d.rd, a | b);
-        break;
-      case Mnemonic::kAnd:
-        setReg(d.rd, a & b);
-        break;
-      case Mnemonic::kMul:
-        setReg(d.rd, a * b);
-        cost = costs_.mul;
-        break;
-      case Mnemonic::kMulh:
-        setReg(d.rd,
-               std::uint32_t((std::int64_t(std::int32_t(a)) *
-                              std::int64_t(std::int32_t(b))) >>
-                             32));
-        cost = costs_.mul;
-        break;
-      case Mnemonic::kMulhsu:
-        setReg(d.rd,
-               std::uint32_t((std::int64_t(std::int32_t(a)) *
-                              std::int64_t(std::uint64_t(b))) >>
-                             32));
-        cost = costs_.mul;
-        break;
-      case Mnemonic::kMulhu:
-        setReg(d.rd,
-               std::uint32_t((std::uint64_t(a) * std::uint64_t(b)) >>
-                             32));
-        cost = costs_.mul;
-        break;
-      case Mnemonic::kDiv:
-        if (b == 0)
-            setReg(d.rd, 0xffffffffu);
-        else if (a == 0x80000000u && b == 0xffffffffu)
-            setReg(d.rd, 0x80000000u);
-        else
-            setReg(d.rd, std::uint32_t(std::int32_t(a) / std::int32_t(b)));
-        cost = costs_.div;
-        break;
-      case Mnemonic::kDivu:
-        setReg(d.rd, b == 0 ? 0xffffffffu : a / b);
-        cost = costs_.div;
-        break;
-      case Mnemonic::kRem:
-        if (b == 0)
-            setReg(d.rd, a);
-        else if (a == 0x80000000u && b == 0xffffffffu)
-            setReg(d.rd, 0);
-        else
-            setReg(d.rd, std::uint32_t(std::int32_t(a) % std::int32_t(b)));
-        cost = costs_.div;
-        break;
-      case Mnemonic::kRemu:
-        setReg(d.rd, b == 0 ? a : a % b);
-        cost = costs_.div;
-        break;
+      FS_RV_ALU_IMM_OPS(FS_RV_EXEC_ALU_IMM)
+#undef FS_RV_EXEC_ALU_IMM
       case Mnemonic::kFence:
         break; // no-op in a single-hart system
       case Mnemonic::kFsMark:

@@ -8,16 +8,16 @@
  * cycle-accurate microarchitecture: what the reproduction needs is a
  * faithful software execution substrate with energy-relevant timing.
  *
- * Execution has three tiers that are bit-identical by construction.
- * The slow path (step) fetches and decodes one instruction at a time
- * through riscv::decode() into executeDecoded(). The fast path
- * (runDecoded) dispatches pre-decoded basic blocks from a TraceCache
- * -- fed through the same decoder -- and serves loads/fetches from
- * the bus's direct host-pointer windows. Hot trace blocks are then
- * promoted to a third tier, threaded code in a DbtCache, which chains
- * block-to-block without returning to the dispatch loop (see dbt.h).
- * FS_NO_TRACE_CACHE disables both fast tiers; FS_NO_DBT disables just
- * the translation tier.
+ * Execution has two tiers that are bit-identical by construction.
+ * The interpreter (step) fetches and decodes one instruction at a
+ * time through riscv::decode() into executeDecoded(); it is the
+ * reference, and it runs everything the fast tier declines. The fast
+ * tier (runTranslated) decodes superblocks straight from the bus's
+ * direct host-pointer windows, translates them on first sight into
+ * threaded code in a DbtCache, and chains block-to-block without
+ * returning to the dispatch loop (see dbt.h). Both tiers take each
+ * instruction's result from the one definition in semantics.h.
+ * FS_NO_DBT leaves the interpreter alone.
  */
 
 #ifndef FS_RISCV_HART_H_
@@ -32,7 +32,6 @@
 #include "riscv/decoder.h"
 #include "riscv/encoding.h"
 #include "riscv/memory.h"
-#include "riscv/trace_cache.h"
 
 namespace fs {
 namespace riscv {
@@ -82,10 +81,10 @@ class Hart
 
     /**
      * The complete architectural state: everything execution depends
-     * on besides memory contents. Cached/translated blocks (trace
-     * cache, DBT) are deliberately excluded -- they are derived state;
-     * a caller that restores memory alongside an ArchState must flush
-     * them via invalidateTraceCache().
+     * on besides memory contents. Translated blocks are deliberately
+     * excluded -- they are derived state; a caller that restores
+     * memory alongside an ArchState must flush them via
+     * invalidateTranslations().
      */
     struct ArchState {
         std::array<std::uint32_t, 32> regs{};
@@ -147,41 +146,31 @@ class Hart
     std::uint64_t run(std::uint64_t max_cycles);
 
     /**
-     * Fast path: execute pre-decoded basic blocks until just under
-     * `budget` cycles are spent, an event boundary is reached (WFI,
-     * halt, pending interrupt), or an op touches slow-path state
-     * (MMIO, coprocessor) that may have moved an event horizon.
-     * Guarantees the return value < budget, so a caller that bounds
-     * budget by its next external event (kill cycle, sample latch)
-     * keeps that event on the exact interpreter cycle. Returns 0 when
-     * the trace cache is disabled or the pc is outside direct-window
-     * memory; the caller then falls back to step().
+     * Fast path: run translated superblocks (translating each on
+     * first sight) until just under `budget` cycles are spent or an
+     * event boundary is reached (WFI, halt, pending interrupt), or an
+     * op touches slow-path state (MMIO, coprocessor) that may have
+     * moved an event horizon. A superblock is entered only when its
+     * worst-case cost fits strictly under the remaining budget, so a
+     * caller that bounds budget by its next external event (kill
+     * cycle, sample latch) keeps that event on the exact interpreter
+     * cycle. Returns 0 when the DBT is disabled or the pc is at a
+     * strict op (system/CSR/custom) or outside direct-window memory;
+     * the caller then falls back to step(). When the next superblock
+     * would reach the budget, the rest of the way to it -- the tail
+     * -- is left to step() as well.
      */
-    std::uint64_t runDecoded(std::uint64_t budget);
+    std::uint64_t runTranslated(std::uint64_t budget);
 
-    // --- trace cache control ---
-    bool traceCacheEnabled() const { return trace_on_; }
-    /** Toggle the trace cache at runtime (flushes on any change). */
-    void setTraceCacheEnabled(bool on);
-    /** Drop all cached/translated blocks in every tier (call after
-     *  rewriting code memory). */
-    void
-    invalidateTraceCache()
-    {
-        trace_.flush();
-        dbt_.flush();
-    }
-    const TraceCache &traceCache() const { return trace_; }
-
-    // --- DBT tier control ---
-    /** True when hot trace blocks are promoted to threaded code. The
-     *  tier only engages while the trace cache is enabled (it is fed
-     *  by trace-cache blocks). */
+    /** True when the fast tier runs (FS_NO_DBT unset by default). */
     bool dbtEnabled() const { return dbt_on_; }
-    /** Toggle the DBT tier at runtime (flushes its cache on change). */
+    /** Toggle the fast tier at runtime (flushes its cache on change). */
     void setDbtEnabled(bool on);
     const DbtCache &dbtCache() const { return dbt_; }
     DbtCache &dbtCache() { return dbt_; }
+    /** Drop all translated blocks (call after rewriting code memory
+     *  behind the hart's back). */
+    void invalidateTranslations() { dbt_.flush(); }
 
     /** Power failure: all volatile architectural state decays. */
     void powerFail();
@@ -194,8 +183,8 @@ class Hart
 
     /**
      * Restore a captured architectural state. Does not touch the
-     * trace/DBT caches: callers that also restore memory must follow
-     * up with invalidateTraceCache().
+     * translation cache: callers that also restore memory must follow
+     * up with invalidateTranslations().
      */
     void restoreArch(const ArchState &state);
 
@@ -210,15 +199,13 @@ class Hart
     void store(std::uint32_t addr, std::uint32_t value, unsigned bytes);
     const DirectWindow *findWindow(std::uint32_t addr, unsigned bytes);
     void syncSlowAccess();
-    const TraceBlock *buildBlock();
-    std::uint64_t worstCost(const Decoded &d) const;
 
-    /** Lower a hot trace block into threaded code and insert it into
-     *  the DBT cache. Translation covers the prefix up to (not
-     *  including) the first strict op -- system/CSR/custom ops stay
-     *  on the trace tier -- and returns nullptr when that prefix is
-     *  empty. */
-    DbtBlock *translateBlock(const TraceBlock &src);
+    /** Decode the superblock at pc_ from its direct window, lower it
+     *  into threaded code and insert it into the DBT cache. The block
+     *  covers the prefix up to (not including) the first strict op;
+     *  returns nullptr when that prefix is empty or the pc is outside
+     *  direct-window memory. */
+    DbtBlock *translate();
 
     /**
      * Execute translated blocks starting at @p block, chaining
@@ -245,8 +232,6 @@ class Hart
     bool halted_ = false;
 
     // --- fast-path state ---
-    TraceCache trace_;
-    bool trace_on_;
     DbtCache dbt_;
     bool dbt_on_;
     /** Computed-goto handler table, published by the first runDbt
@@ -258,8 +243,13 @@ class Hart
     bool windows_init_ = false;
     std::size_t mru_window_ = 0;
     /** Set by syncSlowAccess: the op touched MMIO/coprocessor state,
-     *  so runDecoded must return for an event-horizon recheck. */
+     *  so runTranslated must return for an event-horizon recheck. */
     bool slow_event_ = false;
+    /** cycles() value up to which runTranslated defers to step(): set
+     *  when the next superblock would not fit under the budget, so a
+     *  tail is interpreted to its horizon without re-probing (and
+     *  translating) at every mid-block pc. */
+    std::uint64_t tail_end_ = 0;
 
     FsCoprocessor *cop_ = nullptr;
     EcallHandler ecall_;

@@ -125,12 +125,20 @@ Engine::executeRoSweep(const RoSweepJob &job) const
         return badRequest("stages must be odd and in [3, 1001]");
     if (job.cell > 1)
         return badRequest("unknown inverter cell");
+    for (const double x :
+         {job.vStart, job.vEnd, job.vStep, job.speed, job.tempC}) {
+        if (!std::isfinite(x))
+            return badRequest("non-finite sweep parameter");
+    }
     if (!(job.vStep > 0.0) || job.vEnd < job.vStart)
         return badRequest("bad voltage grid");
-    const std::size_t points = std::size_t(
-        std::floor((job.vEnd - job.vStart) / job.vStep + 1e-9)) + 1;
-    if (points > 1'000'000)
+    // Bound the step count while it is still a double: a finite but
+    // huge span over a tiny step overflows any integer type.
+    const double steps =
+        std::floor((job.vEnd - job.vStart) / job.vStep + 1e-9);
+    if (!(steps < 1e6))
         return badRequest("voltage grid too fine (> 1e6 points)");
+    const std::size_t points = std::size_t(steps) + 1;
 
     const circuit::RingOscillator ro(
         *tech, job.stages, job.speed,
@@ -368,7 +376,8 @@ Engine::executeGuestRun(const GuestRunJob &job) const
     bus.attach("fram", layout.framBase, fram);
     bus.attach("sram", layout.sramBase, sram);
     riscv::Hart hart(bus);
-    hart.setTraceCacheEnabled(job.traceCache != 0);
+    if (job.traceCache == 0)
+        hart.setDbtEnabled(false); // interpreter only
 
     riscv::Assembler as(layout.framBase);
     as.li(riscv::kSp, std::int32_t(layout.sramBase + layout.sramSize));

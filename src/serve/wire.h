@@ -273,6 +273,8 @@ bool mergeTortureResult(TortureResult &into, const TortureResult &shard,
 /** Run one guest workload to completion on a bare FRAM+SRAM machine. */
 struct GuestRunJob {
     WorkloadSpec workload;
+    /** 0 = interpreter only (the DBT tier off). The field keeps its
+     *  historical name and wire byte. */
     std::uint8_t traceCache = 1;
 };
 

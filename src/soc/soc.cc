@@ -57,7 +57,7 @@ Soc::loadRuntime(std::uint32_t threshold_count)
 {
     const auto image = buildCheckpointRuntime(layout_, threshold_count);
     fram_.loadWords(0, image);
-    hart_.invalidateTraceCache(); // image load bypasses Nvm::write
+    hart_.invalidateTranslations(); // image load bypasses Nvm::write
     // Stage the CRC-32 lookup table the runtime consults. Direct
     // data() writes: staging is load-time provisioning, not a store
     // the fault model should see or the write counters should charge.
@@ -71,7 +71,7 @@ void
 Soc::loadApp(const std::vector<riscv::Word> &words)
 {
     fram_.loadWords(layout_.appBase - layout_.framBase, words);
-    hart_.invalidateTraceCache(); // image load bypasses Nvm::write
+    hart_.invalidateTranslations(); // image load bypasses Nvm::write
 }
 
 void
@@ -164,11 +164,11 @@ Soc::run(std::uint64_t max_cycles)
 {
     std::uint64_t spent = 0;
     while (!hart_.halted() && spent < max_cycles) {
-        if (hart_.traceCacheEnabled()) {
+        if (hart_.dbtEnabled()) {
             const std::uint64_t budget =
                 std::min(max_cycles - spent, eventHorizon());
             if (budget > 1) {
-                const std::uint64_t chunk = hart_.runDecoded(budget);
+                const std::uint64_t chunk = hart_.runTranslated(budget);
                 if (chunk > 0) {
                     total_cycles_ += chunk;
                     spent += chunk;
@@ -238,9 +238,9 @@ Soc::restoreSnapshot(const Snapshot &snap)
     power_cycles_ = snap.powerCycles;
     app_finished_ = snap.appFinished;
     fault_killed_ = snap.faultKilled;
-    // Trace/DBT blocks were decoded from the pre-restore memory
+    // Translated blocks were decoded from the pre-restore memory
     // image; they must not survive the contents changing under them.
-    hart_.invalidateTraceCache();
+    hart_.invalidateTranslations();
 }
 
 } // namespace soc

@@ -93,7 +93,12 @@ ThreadPool::parallelFor(std::size_t n,
     // Inline paths: a 1-thread pool, trivial jobs, and nested calls
     // from inside a pool body (re-entrant fan-out would deadlock the
     // shared job slot, and the outer job already owns the threads).
-    if (thread_count_ == 1 || n == 1 || t_in_pool_body) {
+    // A second outside caller that arrives while a job is in flight
+    // runs inline too: there is one job slot, and sharing it would
+    // hand that caller's workers the other caller's body and n.
+    std::unique_lock<std::mutex> submit(submit_mutex_, std::try_to_lock);
+    if (thread_count_ == 1 || n == 1 || t_in_pool_body ||
+        !submit.owns_lock()) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;

@@ -51,7 +51,8 @@ class ThreadPool
      * results must be written to per-index slots; the call returns only
      * once every index has completed. The first exception thrown by any
      * body is rethrown on the calling thread (after all indices drain).
-     * Calls from inside a pool body run inline (no nested fan-out).
+     * Calls from inside a pool body run inline (no nested fan-out), as
+     * do calls from another thread while a job is in flight.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
@@ -93,6 +94,8 @@ class ThreadPool
     std::size_t thread_count_ = 1;
     std::vector<std::thread> workers_;
 
+    /** Held by the one outside caller that owns the job slot. */
+    std::mutex submit_mutex_;
     std::mutex mutex_;
     std::condition_variable cv_work_;
     std::condition_variable cv_done_;

@@ -5,10 +5,9 @@
  * chaining on a live hart, eviction under a tiny cache budget with
  * results still bit-identical to the interpreter, self-modifying-code
  * flushes of translated code, and the FS_NO_DBT /
- * FS_DBT_CACHE_BYTES / FS_DBT_HOT_THRESHOLD environment knobs.
- * Tier *equivalence* (interp vs. trace vs. DBT over random programs,
- * full SoC scenarios, torture campaigns) lives in
- * test_trace_cache.cc.
+ * FS_DBT_CACHE_BYTES environment knobs. Tier *equivalence* (interp
+ * vs. DBT over random programs, full SoC scenarios, torture
+ * campaigns) lives in test_trace_cache.cc.
  */
 
 #include <gtest/gtest.h>
@@ -178,26 +177,20 @@ TEST(DbtCache, EnvKillSwitchDisablesTier)
     EXPECT_FALSE(DbtCache::enabledByEnv());
     riscv::Hart off(ram);
     EXPECT_FALSE(off.dbtEnabled());
-    EXPECT_TRUE(off.traceCacheEnabled()) << "trace tier unaffected";
     unsetenv("FS_NO_DBT");
     EXPECT_TRUE(DbtCache::enabledByEnv());
     riscv::Hart on(ram);
     EXPECT_TRUE(on.dbtEnabled());
 }
 
-TEST(DbtCache, EnvBudgetAndHotThreshold)
+TEST(DbtCache, EnvBudget)
 {
     setenv("FS_DBT_CACHE_BYTES", "65536", 1);
-    setenv("FS_DBT_HOT_THRESHOLD", "9", 1);
     DbtCache tuned;
     EXPECT_EQ(tuned.budgetBytes(), 65536u);
-    EXPECT_EQ(tuned.hotThreshold(), 9u);
     unsetenv("FS_DBT_CACHE_BYTES");
-    unsetenv("FS_DBT_HOT_THRESHOLD");
     DbtCache defaults;
     EXPECT_EQ(defaults.budgetBytes(), DbtCache::kDefaultBudgetBytes);
-    EXPECT_EQ(defaults.hotThreshold(),
-              DbtCache::kDefaultHotThreshold);
 }
 
 // ---------------------------------------------------------------------
@@ -247,9 +240,7 @@ runNestedLoops(bool dbt, std::size_t budget_bytes, std::uint64_t chunk)
     riscv::Ram ram(4096);
     ram.loadWords(0, nestedLoopProgram(40, 25));
     riscv::Hart hart(ram);
-    hart.setTraceCacheEnabled(true);
     hart.setDbtEnabled(dbt);
-    hart.dbtCache().setHotThreshold(2);
     if (budget_bytes != 0)
         hart.dbtCache().setBudgetBytes(budget_bytes);
     hart.reset(0);

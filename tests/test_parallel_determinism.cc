@@ -112,6 +112,40 @@ TEST(ThreadPool, NestedCallsRunInline)
         EXPECT_EQ(out[std::size_t(i)], i);
 }
 
+TEST(ThreadPool, ConcurrentOutsideCallersKeepTheirOwnJobs)
+{
+    // Two outside threads fan out on one pool at once with different
+    // sizes. Every index of each job must run exactly once, under its
+    // own body: a shared job slot would hand one caller's workers the
+    // other caller's body or n.
+    util::ThreadPool pool(4);
+    constexpr std::size_t kSizes[2] = {1000, 37};
+    std::atomic<int> strays{0};
+    const auto caller = [&](std::size_t which) {
+        for (int round = 0; round < 200; ++round) {
+            const std::size_t n = kSizes[which];
+            std::vector<std::atomic<int>> hits(n);
+            for (auto &h : hits)
+                h.store(0);
+            pool.parallelFor(n, [&](std::size_t i) {
+                if (i < n)
+                    ++hits[i];
+                else
+                    ++strays;
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "job " << which << " round " << round
+                    << " index " << i;
+        }
+    };
+    std::thread a(caller, 0);
+    std::thread b(caller, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(strays.load(), 0);
+}
+
 TEST(PerIndexRng, StreamsAreStableAndDecorrelated)
 {
     // Same (seed, index) -> same stream, at any thread count, because

@@ -17,6 +17,8 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -344,6 +346,340 @@ TEST(Wire, RequestKeyDistinguishesKindAndContent)
               requestKey(MsgKind::kTorture, pa));
 }
 
+// --- frozen v3 wire bytes --------------------------------------------
+
+/** One canonical payload, named for the golden table. */
+struct GoldenPayload {
+    std::string name;
+    std::vector<std::uint8_t> bytes;
+};
+
+/**
+ * One fixed request and one fixed reply of each of the nine message
+ * kinds (guest runs with traceCache 0 and 1, plus the error reply),
+ * encoded with the current codecs.
+ */
+std::vector<GoldenPayload>
+goldenPayloads()
+{
+    std::vector<GoldenPayload> out;
+    const auto request = [&out](const std::string &name,
+                                const Request &req) {
+        out.push_back({name, encodeRequestPayload(req)});
+    };
+    const auto reply = [&out](const std::string &name,
+                              const Response &resp) {
+        out.push_back({name, encodeResponsePayload(resp)});
+    };
+
+    RoSweepJob ro;
+    ro.tech = "65nm";
+    ro.stages = 31;
+    ro.cell = 1;
+    ro.speed = 0.95;
+    ro.tempC = 85.0;
+    ro.vStart = 0.5;
+    ro.vEnd = 1.5;
+    ro.vStep = 0.25;
+    request("ro_sweep", ro);
+
+    DesignPointJob dp;
+    dp.tech = "130nm";
+    dp.config.roStages = 15;
+    dp.config.sampleRate = 2.5e3;
+    dp.config.counterBits = 10;
+    dp.config.strategy = 1;
+    request("design_point", dp);
+
+    DseShardJob dse;
+    dse.populationSize = 32;
+    dse.generations = 6;
+    dse.seed = 0xabcdef;
+    dse.fixedRate = 5e3;
+    dse.exploreDivider = 1;
+    request("dse_shard", dse);
+
+    TortureJob torture;
+    torture.workload.kind = WorkloadSpec::Kind::kFir;
+    torture.workload.a = 8;
+    torture.workload.b = 64;
+    torture.workload.seed = 9;
+    torture.sramSize = 2048;
+    torture.killsPerWindow = 3;
+    torture.exhaustivePoints = 1000;
+    torture.pointOffset = 250;
+    torture.pointCount = 500;
+    torture.coverageMap = 1;
+    request("torture", torture);
+
+    GuestRunJob guest;
+    guest.workload.kind = WorkloadSpec::Kind::kSort;
+    guest.workload.a = 64;
+    guest.workload.seed = 3;
+    request("guest_run_dbt", guest);
+    guest.traceCache = 0;
+    request("guest_run_interp", guest);
+
+    LintImageJob lint;
+    lint.name = "golden";
+    lint.code = {0x00000013u, 0x00100073u, 0xdeadbeefu};
+    lint.emitPruning = 0;
+    request("lint_image", lint);
+
+    SwarmJob swarm;
+    swarm.deviceCount = 4096;
+    swarm.firstDevice = 1024;
+    swarm.spanDevices = 2048;
+    swarm.seed = 77;
+    swarm.profile = 4;
+    swarm.anomalyEvery = 50;
+    swarm.traceCsv = "t,v\n0,1.5\n";
+    request("swarm", swarm);
+
+    PingJob ping;
+    ping.nonce = 0x0123456789abcdefull;
+    out.push_back({"ping", encodePing(ping)});
+    // One whole frame pins the v3 header layout too.
+    out.push_back(
+        {"ping_frame", frameMessage(MsgKind::kPing, out.back().bytes)});
+
+    CacheInsertJob insert;
+    insert.key = 0xfeedfacecafebeefull;
+    insert.kind = std::uint16_t(MsgKind::kGuestRunReply);
+    insert.payload = {1, 2, 3, 4};
+    out.push_back({"cache_insert", encodeCacheInsert(insert)});
+
+    RoSweepResult ro_res;
+    ro_res.frequenciesHz = {1.25e6, 2.5e6, 5e6};
+    reply("ro_sweep_reply", ro_res);
+
+    PerformanceWire perf;
+    perf.realizable = 1;
+    perf.rejectReason = "none";
+    perf.meanCurrent = 1.5e-7;
+    perf.sampleRate = 1e3;
+    perf.granularity = 0.0125;
+    perf.nvmBytes = 49;
+    perf.transistors = 1234;
+    perf.quantizationError = 0.01;
+    perf.thermalError = 0.02;
+    perf.interpolationError = 0.03;
+    reply("design_point_reply", DesignPointResult{perf});
+
+    DseShardResult dse_res;
+    dse_res.front.push_back({dp.config, perf});
+    reply("dse_shard_reply", dse_res);
+
+    TortureResult torture_res;
+    torture_res.cleanCycles = 123456;
+    torture_res.checkpoints = 2;
+    torture_res.checkpointVolts = 1.87;
+    torture_res.points = 2;
+    torture_res.killed = 2;
+    torture_res.killTears = 1;
+    torture_res.correct = 2;
+    torture_res.outcomeFlags = {kOutcomeKilled | kOutcomeCorrect,
+                                kOutcomeKilled | kOutcomeKillTore};
+    torture_res.results = {0x11223344u, 0x55667788u};
+    TortureCoverageWire site;
+    site.addr = 0x1000;
+    site.cls = 2;
+    site.rank = 1;
+    site.points = 2;
+    site.killed = 2;
+    site.correct = 2;
+    torture_res.coverage.push_back(site);
+    reply("torture_reply", torture_res);
+
+    GuestRunResult guest_res;
+    guest_res.name = "sort-64";
+    guest_res.result = 0xcafef00du;
+    guest_res.expected = 0xcafef00du;
+    guest_res.correct = 1;
+    guest_res.instructions = 98765;
+    reply("guest_run_reply", guest_res);
+
+    LintImageResult lint_res;
+    lint_res.image = "golden";
+    lint_res.errors = 1;
+    lint_res.warnings = 2;
+    lint_res.notes = 3;
+    lint_res.worstCaseCommitCycles = 33000;
+    lint_res.budgetCycles = 40000;
+    lint_res.staticEnergyBound = 1e-6;
+    lint_res.energyBudgetJoules = 2e-6;
+    lint_res.reportJson = "{}";
+    lint_res.pruningJson = "[]";
+    reply("lint_image_reply", lint_res);
+
+    SwarmResult swarm_res;
+    swarm_res.agg.firstBlock = 4;
+    swarm_res.agg.deviceCount = 8;
+    swarm_res.agg.boots = 100;
+    swarm_res.agg.checkpoints = 90;
+    swarm_res.agg.failedCheckpoints = 1;
+    swarm_res.agg.flaggedDevices = 2;
+    reply("swarm_reply", swarm_res);
+
+    PingResult pong;
+    pong.nonce = ping.nonce;
+    pong.queueDepth = 5;
+    pong.cacheEntries = 17;
+    pong.draining = 1;
+    out.push_back({"ping_reply", encodePingResult(pong)});
+
+    CacheInsertResult stored;
+    stored.stored = 1;
+    out.push_back({"cache_insert_reply", encodeCacheInsertResult(stored)});
+
+    ErrorResult error;
+    error.code = ErrorCode::kBadRequest;
+    error.message = "bad voltage grid";
+    reply("error_reply", error);
+    return out;
+}
+
+std::string
+toHex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const std::uint8_t b : bytes) {
+        hex += kDigits[b >> 4];
+        hex += kDigits[b & 0xf];
+    }
+    return hex;
+}
+
+/** The v3 payload bytes, frozen: any codec change that moves a byte
+ *  of an existing message kind breaks deployed clients and caches. */
+const std::map<std::string, std::string> kGoldenHex = {
+    {"ro_sweep",
+     "0400000036356e6d1f00000001666666666666ee3f0000000000405540000000"
+     "000000e03f000000000000f83f000000000000d03f"},
+    {"design_point",
+     "050000003133306e6d0f00000000000000000000000088a3400a000000000000"
+     "00f168e388b5f8e43e3100000000000000080000000000000001000000000000"
+     "00030000000000000001"},
+    {"dse_shard",
+     "0400000039306e6d2000000006000000efcdab0000000000000000000088b340"
+     "01"},
+    {"torture",
+     "01080000004000000009000000000000000008000060ea000000000000307500"
+     "0000000000eeffc0f5000000000300000010000000e803000000000000fa0000"
+     "0000000000f40100000000000001"},
+    {"guest_run_dbt",
+     "024000000000000000030000000000000001"},
+    {"guest_run_interp",
+     "024000000000000000030000000000000000"},
+    {"lint_image",
+     "06000000676f6c64656e030000001300000073001000efbeadde00"},
+    {"swarm",
+     "0010000000000000000400000000000000080000000000004d00000000000000"
+     "040000000000000000c082400000000000001440000000000000f03f00000000"
+     "0000104010000000020000003200000000000000000000000000d03f0a000000"
+     "742c760a302c312e350a"},
+    {"ping",
+     "efcdab8967452301"},
+    {"ping_frame",
+     "565253460300060008000000efcdab8967452301"},
+    {"cache_insert",
+     "efbefecacefaedfe05800400000001020304"},
+    {"ro_sweep_reply",
+     "0300000000000000d012334100000000d012434100000000d0125341"},
+    {"design_point_reply",
+     "01040000006e6f6e6576830df4f521843e0000000000408f409a999999999989"
+     "3f3100000000000000d2040000000000007b14ae47e17a843f7b14ae47e17a94"
+     "3fb81e85eb51b89e3f"},
+    {"dse_shard_reply",
+     "010000000f00000000000000000000000088a3400a00000000000000f168e388"
+     "b5f8e43e31000000000000000800000000000000010000000000000003000000"
+     "000000000101040000006e6f6e6576830df4f521843e0000000000408f409a99"
+     "99999999893f3100000000000000d2040000000000007b14ae47e17a843f7b14"
+     "ae47e17a943fb81e85eb51b89e3f"},
+    {"torture_reply",
+     "40e201000000000002000000ec51b81e85ebfd3f020000000200000001000000"
+     "0000000000000000020000000000000002000000110302000000443322118877"
+     "6655010000000010000002010000000200000002000000020000000000000000"
+     "00000000000000"},
+    {"guest_run_reply",
+     "07000000736f72742d36340df0feca0df0feca01cd81010000000000"},
+    {"lint_image_reply",
+     "06000000676f6c64656e010000000200000003000000e880000000000000409c"
+     "0000000000008dedb5a0f7c6b03e8dedb5a0f7c6c03e020000007b7d02000000"
+     "5b5d"},
+    {"swarm_reply",
+     "0400000000000000080000000000000000000000feffffff0400000008000000"
+     "3000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000fdffffff0300000008000000"
+     "3000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000feffffff0400000008000000"
+     "3000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "000000000000000000000000000000000000000040000000656d69746566696c"
+     "00000000400000002165636e656461630000000040000000656d697464616564"
+     "0000000064000000000000005a00000000000000010000000000000002000000"
+     "00000000000000000000000000000000000000000000000000000000"},
+    {"ping_reply",
+     "efcdab896745230105000000110000000000000001"},
+    {"cache_insert_reply",
+     "01"},
+    {"error_reply",
+     "01001000000062616420766f6c746167652067726964"},
+};
+
+TEST(Wire, V3PayloadBytesAreFrozen)
+{
+    const std::vector<GoldenPayload> payloads = goldenPayloads();
+    EXPECT_EQ(payloads.size(), kGoldenHex.size());
+    for (const GoldenPayload &g : payloads) {
+        const auto it = kGoldenHex.find(g.name);
+        ASSERT_NE(it, kGoldenHex.end()) << g.name;
+        EXPECT_EQ(toHex(g.bytes), it->second) << g.name;
+    }
+    // The guest-run tier byte is the only difference between the two
+    // guest requests: 1 = DBT allowed, 0 = interpreter only.
+    const std::string &dbt = kGoldenHex.at("guest_run_dbt");
+    const std::string &interp = kGoldenHex.at("guest_run_interp");
+    ASSERT_EQ(dbt.size(), interp.size());
+    EXPECT_EQ(dbt.substr(0, dbt.size() - 2),
+              interp.substr(0, interp.size() - 2));
+    EXPECT_EQ(dbt.substr(dbt.size() - 2), "01");
+    EXPECT_EQ(interp.substr(interp.size() - 2), "00");
+}
+
 // --- result cache ----------------------------------------------------
 
 std::vector<std::uint8_t>
@@ -580,6 +916,36 @@ TEST(Engine, UndecodableAndInvalidRequestsAreTypedErrors)
     RoSweepJob job;
     job.tech = "13nm";
     const Response resp = engine.execute(job);
+    const auto *err = std::get_if<ErrorResult>(&resp);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, ErrorCode::kBadRequest);
+}
+
+TEST(Engine, NonFiniteRoSweepInputsAreTypedErrors)
+{
+    Engine engine(engineOptions(1));
+    const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+    double RoSweepJob::*const kFields[] = {
+        &RoSweepJob::vStart, &RoSweepJob::vEnd, &RoSweepJob::vStep,
+        &RoSweepJob::speed, &RoSweepJob::tempC};
+    for (double RoSweepJob::*field : kFields) {
+        for (const double bad : kBad) {
+            RoSweepJob job;
+            job.*field = bad;
+            const Response resp = engine.execute(job);
+            const auto *err = std::get_if<ErrorResult>(&resp);
+            ASSERT_NE(err, nullptr) << bad;
+            EXPECT_EQ(err->code, ErrorCode::kBadRequest) << bad;
+        }
+    }
+    // Finite endpoints whose span overflows the step count.
+    RoSweepJob huge;
+    huge.vStart = -1e308;
+    huge.vEnd = 1e308;
+    huge.vStep = 1e-300;
+    const Response resp = engine.execute(huge);
     const auto *err = std::get_if<ErrorResult>(&resp);
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->code, ErrorCode::kBadRequest);

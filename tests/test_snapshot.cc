@@ -2,7 +2,7 @@
  * @file
  * Snapshot-fork fault grading tests: PagedImage copy-on-write
  * semantics, full-SoC snapshot save/restore bit-identity across the
- * interpreter/trace-cache/DBT tiers, snapshot interaction with power
+ * interpreter and DBT tiers, snapshot interaction with power
  * failures, forked torture campaigns against the replay-from-boot
  * reference (with and without convergence memoization, at 1 and 8
  * threads), the v2 wire format's exhaustive point-range shards and
@@ -147,14 +147,12 @@ fingerprint(soc::Soc &sys)
 
 struct Tier {
     const char *name;
-    const char *noTrace; ///< FS_NO_TRACE_CACHE value (null = unset)
-    const char *noDbt;   ///< FS_NO_DBT value (null = unset)
+    const char *noDbt; ///< FS_NO_DBT value (null = unset)
 };
 
 constexpr Tier kTiers[] = {
-    {"dbt", nullptr, nullptr},
-    {"trace", nullptr, "1"},
-    {"interp", "1", nullptr},
+    {"dbt", nullptr},
+    {"interp", "1"},
 };
 
 TEST(SocSnapshot, RestoreResumesBitIdenticallyOnEveryTier)
@@ -162,7 +160,6 @@ TEST(SocSnapshot, RestoreResumesBitIdenticallyOnEveryTier)
     const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
     for (const Tier &tier : kTiers) {
         SCOPED_TRACE(tier.name);
-        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
         EnvGuard dbt("FS_NO_DBT", tier.noDbt);
 
         SocBench original = makeBench();

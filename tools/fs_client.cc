@@ -68,6 +68,7 @@ usage()
         " (sharded fan-out)\n"
         "  guest        [--workload ... --a N --b N --wseed N"
         " --no-trace]\n"
+        "               (--no-trace: interpreter only, DBT off)\n"
         "  lint         [--image NAME --no-pruning]"
         " (names: fs_lint --list)\n"
         "  swarm        [--devices N --seed N --profile"
