@@ -77,12 +77,26 @@ BENCHMARK(BM_Conversion)->DenseRange(0, 3)->ArgNames({"strategy"});
 void
 BM_PerformanceEvaluate(benchmark::State &state)
 {
+    // Warm: the model has already solved this chain geometry, as for
+    // all but the first config of each ring length in a DSE run.
     core::PerformanceModel model(circuit::Technology::node90());
     core::FsConfig cfg;
     for (auto _ : state)
         benchmark::DoNotOptimize(model.evaluate(cfg));
 }
 BENCHMARK(BM_PerformanceEvaluate);
+
+void
+BM_PerformanceEvaluateColdModel(benchmark::State &state)
+{
+    // Cold: a fresh model per call pays every frequency solve.
+    core::FsConfig cfg;
+    for (auto _ : state) {
+        core::PerformanceModel model(circuit::Technology::node90());
+        benchmark::DoNotOptimize(model.evaluate(cfg));
+    }
+}
+BENCHMARK(BM_PerformanceEvaluateColdModel);
 
 void
 BM_IssThroughput(benchmark::State &state)

@@ -36,6 +36,38 @@ struct InterpolationBounds {
 };
 
 /**
+ * The part of Eq. 3/4 that depends only on the chain's transfer
+ * function and the voltage ranges, not on the table size: the range
+ * end frequencies and the worst-case derivatives of g(f).
+ */
+struct TransferShape {
+    double freqLow = 0.0;  ///< L: min frequency over the range (Hz)
+    double freqHigh = 0.0; ///< H: max frequency over the range (Hz)
+    double maxG1 = 0.0;    ///< max |g'(f)| over the evaluation range
+    double maxG2 = 0.0;    ///< max |g''(f)| over the evaluation range
+};
+
+/**
+ * Transfer shape of a chain over the supply range [v_lo, v_hi], with
+ * the derivative maxima taken over [eval_lo, eval_hi] (the whole range
+ * when that is empty). This is the expensive step of
+ * interpolationBounds: ~1,300 frequency solves.
+ */
+TransferShape transferShape(const circuit::MonitorChain &chain,
+                            double v_lo, double v_hi,
+                            double temp_c = circuit::kNominalTempC,
+                            double eval_lo = 0.0, double eval_hi = 0.0);
+
+/**
+ * Apply Eq. 3/4 and the quantization floor to a transfer shape over
+ * [v_lo, v_hi] for `entries` datapoints of `entry_bits` each.
+ */
+InterpolationBounds interpolationBounds(const TransferShape &shape,
+                                        double v_lo, double v_hi,
+                                        std::size_t entries,
+                                        std::size_t entry_bits);
+
+/**
  * Evaluate Eq. 3/4 for a chain enrolled over the supply range
  * [v_lo, v_hi] with `entries` evenly spaced frequency datapoints
  * stored at `entry_bits` precision.

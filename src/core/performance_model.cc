@@ -2,13 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
-#include "calib/error_bounds.h"
 #include "util/logging.h"
 #include "util/numeric.h"
 
 namespace fs {
 namespace core {
+
+namespace {
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+} // namespace
 
 double
 Performance::effectiveBits() const
@@ -22,6 +34,60 @@ PerformanceModel::PerformanceModel(const circuit::Technology &tech,
                                    const PerformanceLimits &limits)
     : tech_(&tech), limits_(limits)
 {
+}
+
+PerformanceModel::TransferMemo &
+PerformanceModel::memoFor(const FsConfig &cfg,
+                          const circuit::MonitorChain &chain,
+                          const std::vector<double> &voltages) const
+{
+    const circuit::ChainSpec &spec = chain.spec();
+    const MemoKey key = {spec.roStages,
+                         spec.dividerTap,
+                         spec.dividerTotal,
+                         bitsOf(spec.dividerWidth),
+                         bitsOf(spec.processSpeed),
+                         std::uint64_t(spec.cell),
+                         std::uint64_t(spec.useRoCache),
+                         bitsOf(cfg.vMin),
+                         bitsOf(cfg.vMax),
+                         bitsOf(cfg.granularityBand)};
+    {
+        const std::lock_guard<std::mutex> lock(memo_mu_);
+        const auto it = memo_.find(key);
+        if (it != memo_.end())
+            return it->second;
+    }
+    // Solve outside the lock; a racing thread computes the same bits
+    // and the first insert wins.
+    TransferMemo fresh;
+    fresh.freqs.reserve(voltages.size());
+    for (const double v : voltages) {
+        fresh.freqs.push_back(chain.frequency(v));
+        if (fresh.freqs.back() <= 0.0)
+            break;
+    }
+    const std::lock_guard<std::mutex> lock(memo_mu_);
+    return memo_.try_emplace(key, std::move(fresh)).first->second;
+}
+
+calib::TransferShape
+PerformanceModel::shapeFor(TransferMemo &memo, const FsConfig &cfg,
+                           const circuit::MonitorChain &chain,
+                           double band_hi) const
+{
+    {
+        const std::lock_guard<std::mutex> lock(memo_mu_);
+        if (memo.shape)
+            return *memo.shape;
+    }
+    const calib::TransferShape shape =
+        calib::transferShape(chain, cfg.vMin, cfg.vMax,
+                             circuit::kNominalTempC, cfg.vMin, band_hi);
+    const std::lock_guard<std::mutex> lock(memo_mu_);
+    if (!memo.shape)
+        memo.shape = shape;
+    return *memo.shape;
 }
 
 Performance
@@ -40,9 +106,9 @@ PerformanceModel::evaluate(const FsConfig &cfg) const
 
     constexpr std::size_t kGrid = 64;
     const auto voltages = linspace(cfg.vMin, cfg.vMax, kGrid);
-    std::vector<double> freqs(kGrid);
-    for (std::size_t i = 0; i < kGrid; ++i) {
-        freqs[i] = chain.frequency(voltages[i]);
+    TransferMemo &memo = memoFor(cfg, chain, voltages);
+    const std::vector<double> &freqs = memo.freqs;
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
         if (freqs[i] <= 0.0) {
             p.rejectReason = "RO does not oscillate (or the level "
                              "shifter fails) at " +
@@ -98,8 +164,8 @@ PerformanceModel::evaluate(const FsConfig &cfg) const
     p.thermalError = worst_thermal;
 
     const auto bounds = calib::interpolationBounds(
-        chain, cfg.vMin, cfg.vMax, cfg.nvmEntries, cfg.entryBits,
-        circuit::kNominalTempC, cfg.vMin, band_hi);
+        shapeFor(memo, cfg, chain, band_hi), cfg.vMin, cfg.vMax,
+        cfg.nvmEntries, cfg.entryBits);
     switch (cfg.strategy) {
       case calib::Strategy::PiecewiseConstant:
         p.interpolationError = bounds.pwcBound + bounds.quantFloor;

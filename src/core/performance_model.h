@@ -21,8 +21,15 @@
 #ifndef FS_CORE_PERFORMANCE_MODEL_H_
 #define FS_CORE_PERFORMANCE_MODEL_H_
 
+#include <array>
+#include <cstdint>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "calib/error_bounds.h"
 #include "core/fs_config.h"
 
 namespace fs {
@@ -64,13 +71,42 @@ class PerformanceModel
     /**
      * Evaluate a configuration. Always fills the metric fields (so
      * near-misses can be inspected); `realizable` is true only when
-     * every rejection check and performance limit passes.
+     * every rejection check and performance limit passes. Safe to
+     * call from several threads at once.
      */
     Performance evaluate(const FsConfig &cfg) const;
 
   private:
+    /**
+     * The frequency solves evaluate() needs for one chain geometry
+     * over one operating range. They depend on every ChainSpec field
+     * except the counter width, and on vMin/vMax/granularityBand, but
+     * not on timing or table size, so a DSE run that evaluates
+     * thousands of configs solves each geometry once.
+     */
+    struct TransferMemo {
+        /** Frequency at each grid voltage, up to and including the
+         *  first non-oscillating point. */
+        std::vector<double> freqs;
+        /** Filled on first use (under memo_mu_). */
+        std::optional<calib::TransferShape> shape;
+    };
+    /** Chain geometry and operating range, doubles as bit patterns. */
+    using MemoKey = std::array<std::uint64_t, 10>;
+
+    TransferMemo &memoFor(const FsConfig &cfg,
+                          const circuit::MonitorChain &chain,
+                          const std::vector<double> &voltages) const;
+    calib::TransferShape shapeFor(TransferMemo &memo, const FsConfig &cfg,
+                                  const circuit::MonitorChain &chain,
+                                  double band_hi) const;
+
     const circuit::Technology *tech_;
     PerformanceLimits limits_;
+    /** Lives as long as the model; entries are never erased, so a
+     *  reference into the map stays valid after the lock drops. */
+    mutable std::mutex memo_mu_;
+    mutable std::map<MemoKey, TransferMemo> memo_;
 };
 
 } // namespace core

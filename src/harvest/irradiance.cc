@@ -26,14 +26,21 @@ IrradianceTrace::at(double t) const
 {
     if (t < 0.0)
         t = 0.0;
+    // Simulations query inside the trace, where fmod(t, span) is t
+    // exactly; only a query at or past the end pays for the wrap.
     const double span = duration();
-    t = std::fmod(t, span);
+    if (t >= span)
+        t = std::fmod(t, span);
     const double idx = t / dt_;
-    const auto lo = std::size_t(idx);
-    const std::size_t hi = (lo + 1) % samples_.size();
+    auto lo = std::size_t(idx);
     const double frac = idx - double(lo);
-    return samples_[lo % samples_.size()] * (1.0 - frac) +
-           samples_[hi] * frac;
+    // t < span, so lo <= n; lo == n only when t / dt_ rounds up at the
+    // last sample, and then it wraps to sample 0 like lo % n would.
+    const std::size_t n = samples_.size();
+    if (lo >= n)
+        lo -= n;
+    const std::size_t hi = lo + 1 == n ? 0 : lo + 1;
+    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
 double
@@ -85,14 +92,24 @@ IrradianceTrace::nycPedestrianNight(double duration_s, double dt,
         next_dark += rng.uniform(240.0, 600.0);
     }
 
+    // Only lobes with |d| < 4 contribute. Lobe centres increase, so
+    // d falls along the list and rises with t: lobes left behind
+    // (d >= 4) are dropped for good, and the scan stops at the first
+    // lobe still ahead (d <= -4).
+    const double w = 2.5; // lobe half-width (s)
+    std::size_t first_lobe = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double t = double(i) * dt;
         double e = ambient;
-        for (const auto &[center, peak] : lobes) {
-            const double w = 2.5; // lobe half-width (s)
+        while (first_lobe < lobes.size() &&
+               (t - lobes[first_lobe].first) / w >= 4.0)
+            ++first_lobe;
+        for (std::size_t k = first_lobe; k < lobes.size(); ++k) {
+            const auto &[center, peak] = lobes[k];
             const double d = (t - center) / w;
-            if (std::fabs(d) < 4.0)
-                e += peak * std::exp(-d * d);
+            if (d <= -4.0)
+                break;
+            e += peak * std::exp(-d * d);
         }
         for (const auto &[start, len] : dark) {
             if (t >= start && t < start + len)

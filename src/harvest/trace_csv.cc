@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace fs {
 namespace harvest {
@@ -31,24 +33,22 @@ sampleIndexFor(const std::vector<double> &times, double t)
     return std::size_t(it - times.begin()) - 1;
 }
 
-std::vector<std::string>
-splitFields(const std::string &line)
+/** Split on commas into `fields` (views into `line`). */
+void
+splitFields(std::string_view line, std::vector<std::string_view> *fields)
 {
-    std::vector<std::string> fields;
-    std::size_t start = 0;
+    fields->clear();
     while (true) {
-        const std::size_t comma = line.find(',', start);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(start));
-            return fields;
-        }
-        fields.push_back(line.substr(start, comma - start));
-        start = comma + 1;
+        const std::size_t comma = line.find(',');
+        fields->push_back(line.substr(0, comma));
+        if (comma == std::string_view::npos)
+            return;
+        line.remove_prefix(comma + 1);
     }
 }
 
-std::string
-trimmed(const std::string &s)
+std::string_view
+trimmed(std::string_view s)
 {
     std::size_t b = 0;
     std::size_t e = s.size();
@@ -60,15 +60,28 @@ trimmed(const std::string &s)
 }
 
 bool
-parseField(const std::string &raw, double *out)
+parseField(std::string_view raw, double *out)
 {
-    const std::string field = trimmed(raw);
+    const std::string_view field = trimmed(raw);
     if (field.empty())
         return false;
+    // Fast path: a plain decimal that from_chars reads whole to a
+    // normal double is one strtod reads to the same bits without
+    // setting errno.
+    double v = 0.0;
+    const char *last = field.data() + field.size();
+    const auto [end, ec] = std::from_chars(field.data(), last, v);
+    if (ec == std::errc() && end == last && std::isnormal(v)) {
+        *out = v;
+        return true;
+    }
+    // Everything else (a '+' sign, hex, zero, subnormals, overflow,
+    // nan/inf, trailing junk) keeps strtod's reading and errno.
+    const std::string copy(field);
     errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(field.c_str(), &end);
-    if (errno != 0 || end != field.c_str() + field.size())
+    char *copy_end = nullptr;
+    v = std::strtod(copy.c_str(), &copy_end);
+    if (errno != 0 || copy_end != copy.c_str() + copy.size())
         return false;
     *out = v;
     return true;
@@ -128,19 +141,23 @@ parseEnvTraceCsv(const std::string &text)
 {
     TraceCsvResult result;
     EnvTrace &trace = result.trace;
-    std::istringstream stream(text);
-    std::string line;
+    std::vector<std::string_view> fields;
     std::size_t line_no = 0;
     std::size_t arity = 0;
     bool header_allowed = true;
-    while (std::getline(stream, line)) {
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t newline = text.find('\n', pos);
+        if (newline == std::string::npos)
+            newline = text.size();
+        std::string_view line(text.data() + pos, newline - pos);
+        pos = newline + 1;
         ++line_no;
         if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        const std::string stripped = trimmed(line);
+            line.remove_suffix(1);
+        const std::string_view stripped = trimmed(line);
         if (stripped.empty() || stripped[0] == '#')
             continue;
-        const std::vector<std::string> fields = splitFields(line);
+        splitFields(line, &fields);
         double first = 0.0;
         if (header_allowed && !parseField(fields[0], &first)) {
             // A non-numeric first field on the first content row is a
@@ -172,7 +189,7 @@ parseEnvTraceCsv(const std::string &text)
                 return fail(TraceCsvStatus::kBadField, line_no,
                             "field " + std::to_string(i + 1) +
                                 " is not a number: \"" +
-                                trimmed(fields[i]) + "\"");
+                                std::string(trimmed(fields[i])) + "\"");
             if (!std::isfinite(values[i]))
                 return fail(TraceCsvStatus::kNonFinite, line_no,
                             "field " + std::to_string(i + 1) +
@@ -180,7 +197,7 @@ parseEnvTraceCsv(const std::string &text)
         }
         if (!trace.timeS.empty() && values[0] <= trace.timeS.back())
             return fail(TraceCsvStatus::kNonMonotonic, line_no,
-                        "timestamp " + trimmed(fields[0]) +
+                        "timestamp " + std::string(trimmed(fields[0])) +
                             " does not increase");
         trace.timeS.push_back(values[0]);
         trace.wpm2.push_back(values[1]);

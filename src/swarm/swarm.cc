@@ -128,8 +128,12 @@ SwarmAggregates::foldStats() const
     return folded;
 }
 
+namespace {
+
+/** validateConfig, also handing back the parsed trace (when `trace` is
+ *  non-null and the config is valid) so callers parse the CSV once. */
 std::string
-validateConfig(const SwarmConfig &cfg)
+validateAndParse(const SwarmConfig &cfg, harvest::EnvTrace *trace)
 {
     if (cfg.deviceCount == 0)
         return "deviceCount must be >= 1";
@@ -168,7 +172,7 @@ validateConfig(const SwarmConfig &cfg)
     if (cfg.profile == HarvestProfile::kTraceCsv) {
         if (cfg.traceCsv.empty())
             return "trace profile needs traceCsv";
-        const harvest::TraceCsvResult parsed =
+        harvest::TraceCsvResult parsed =
             harvest::parseEnvTraceCsv(cfg.traceCsv);
         if (!parsed.ok)
             return "traceCsv: " +
@@ -176,28 +180,34 @@ validateConfig(const SwarmConfig &cfg)
                        parsed.error.status)) +
                    " at line " + std::to_string(parsed.error.line) +
                    ": " + parsed.error.message;
+        if (trace)
+            *trace = std::move(parsed.trace);
     } else if (!cfg.traceCsv.empty()) {
         return "traceCsv is only valid with the trace profile";
     }
     return "";
 }
 
+} // namespace
+
+std::string
+validateConfig(const SwarmConfig &cfg)
+{
+    return validateAndParse(cfg, nullptr);
+}
+
 SwarmAggregates
 runSwarmShard(const SwarmConfig &cfg, util::ThreadPool &pool,
               AuditWriter *audit, std::uint64_t audit_every)
 {
-    const std::string err = validateConfig(cfg);
+    harvest::EnvTrace trace;
+    const std::string err = validateAndParse(cfg, &trace);
     if (!err.empty())
         fatal("swarm: ", err);
     if (audit_every == 0)
         audit_every = 1;
-
-    harvest::EnvTrace trace;
-    const harvest::EnvTrace *trace_ptr = nullptr;
-    if (cfg.profile == HarvestProfile::kTraceCsv) {
-        trace = harvest::parseEnvTraceCsv(cfg.traceCsv).trace;
-        trace_ptr = &trace;
-    }
+    const harvest::EnvTrace *trace_ptr =
+        cfg.profile == HarvestProfile::kTraceCsv ? &trace : nullptr;
 
     const std::uint64_t first = cfg.firstDevice;
     const std::uint64_t span = cfg.spanOrRest();

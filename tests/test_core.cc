@@ -9,12 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <vector>
 
 #include "core/failure_sentinels.h"
 #include "core/performance_model.h"
 #include "core/sampling_engine.h"
 #include "util/logging.h"
 #include "util/numeric.h"
+#include "util/parallel.h"
+#include "util/random.h"
 
 namespace fs {
 namespace core {
@@ -210,6 +215,102 @@ TEST(PerformanceModel, EffectiveBitsInPaperBand)
     ASSERT_TRUE(p.realizable);
     EXPECT_GE(p.effectiveBits(), 5.0);
     EXPECT_LE(p.effectiveBits(), 6.5);
+}
+
+/** Bucket a Performance by the check that decided it. */
+std::string
+rejectCategory(const Performance &p)
+{
+    if (p.realizable)
+        return "realizable";
+    static const char *const kPrefixes[] = {
+        "RO does not oscillate", "transfer function not monotonic",
+        "counter overflow",      "mean current above limit",
+        "granularity above limit", "NVM overhead above limit",
+        "transistor count above limit"};
+    for (const char *prefix : kPrefixes)
+        if (p.rejectReason.rfind(prefix, 0) == 0)
+            return prefix;
+    return "invalid design parameters";
+}
+
+template <typename T>
+bool
+sameBytes(const T &a, const T &b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+TEST(PerformanceModel, WarmMemoMatchesFreshModelBitForBit)
+{
+    // One model evaluates every config (so chain geometries repeat and
+    // each later config reads the memo a first config filled); a
+    // fresh model per config is the reference. The configs reach
+    // every check in evaluate(), with and without the divider, and
+    // are evaluated concurrently so the memo is filled under races.
+    // The tight transistor limit adds its own reject category.
+    PerformanceLimits tight;
+    tight.transistorsMax = 400;
+    const std::pair<double, double> ranges[] = {
+        {1.8, 3.6}, {0.4, 3.6}, {1.0, 8.0}, {2.5, 2.0}};
+    for (const auto &[limits, categories] :
+         {std::pair{PerformanceLimits{}, std::size_t(8)},
+          std::pair{tight, std::size_t(9)}}) {
+        const PerformanceModel warm(circuit::Technology::node90(), limits);
+        Rng rng(14);
+        std::vector<FsConfig> cfgs(600);
+        for (FsConfig &c : cfgs) {
+            c.roStages = rng.bernoulli(0.1)
+                             ? std::size_t(rng.uniformInt(1, 80))
+                             : std::size_t(2 * rng.uniformInt(1, 36) + 1);
+            c.sampleRate = rng.uniform(1e3, 10e3);
+            c.counterBits = std::size_t(rng.uniformInt(1, 16));
+            c.enableTime =
+                std::exp(rng.uniform(std::log(1e-6), std::log(1e-3)));
+            c.nvmEntries = std::size_t(rng.uniformInt(1, 128));
+            c.entryBits = std::size_t(rng.uniformInt(1, 16));
+            c.strategy = calib::Strategy(rng.uniformInt(0, 3));
+            if (rng.bernoulli(0.5))
+                c.dividerTotal = 1; // no divider
+            const auto &range = ranges[rng.bernoulli(0.7)
+                                           ? 0
+                                           : rng.uniformInt(1, 3)];
+            c.vMin = range.first;
+            c.vMax = range.second;
+            if (rng.bernoulli(0.3))
+                c.granularityBand = 0.1 * double(rng.uniformInt(1, 5));
+        }
+        util::ThreadPool pool(4);
+        const std::vector<Performance> got = pool.parallelMap(
+            cfgs.size(),
+            [&](std::size_t i) { return warm.evaluate(cfgs[i]); });
+        std::map<std::string, int> seen;
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            const Performance want = PerformanceModel(
+                circuit::Technology::node90(), limits).evaluate(cfgs[i]);
+            const Performance &p = got[i];
+            ++seen[rejectCategory(want)];
+            EXPECT_EQ(p.rejectReason, want.rejectReason) << i;
+            EXPECT_TRUE(sameBytes(p.realizable, want.realizable)) << i;
+            EXPECT_TRUE(sameBytes(p.meanCurrent, want.meanCurrent)) << i;
+            EXPECT_TRUE(sameBytes(p.sampleRate, want.sampleRate)) << i;
+            EXPECT_TRUE(sameBytes(p.granularity, want.granularity)) << i;
+            EXPECT_TRUE(sameBytes(p.nvmBytes, want.nvmBytes)) << i;
+            EXPECT_TRUE(sameBytes(p.transistors, want.transistors)) << i;
+            EXPECT_TRUE(sameBytes(p.quantizationError,
+                                  want.quantizationError))
+                << i;
+            EXPECT_TRUE(sameBytes(p.thermalError, want.thermalError)) << i;
+            EXPECT_TRUE(sameBytes(p.interpolationError,
+                                  want.interpolationError))
+                << i;
+        }
+        // Every check in evaluate() decided at least one config.
+        std::string listed;
+        for (const auto &[category, count] : seen)
+            listed += category + "=" + std::to_string(count) + "; ";
+        EXPECT_EQ(seen.size(), categories) << listed;
+    }
 }
 
 class PerNodePerformance

@@ -8,12 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "harvest/checkpoint_study.h"
 #include "harvest/system_comparison.h"
 #include "harvest/trace_csv.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fs {
@@ -51,6 +57,88 @@ TEST(IrradianceTrace, NegativeSamplesClampedToZero)
 {
     IrradianceTrace trace({-5.0, 1.0}, 1.0);
     EXPECT_DOUBLE_EQ(trace.at(0.0), 0.0);
+}
+
+/** Reference for IrradianceTrace::at: fmod and % on every call. */
+double
+referenceAt(const std::vector<double> &samples, double dt, double t)
+{
+    if (t < 0.0)
+        t = 0.0;
+    const double span = dt * double(samples.size());
+    t = std::fmod(t, span);
+    const double idx = t / dt;
+    const auto lo = std::size_t(idx);
+    const std::size_t hi = (lo + 1) % samples.size();
+    const double frac = idx - double(lo);
+    return samples[lo % samples.size()] * (1.0 - frac) +
+           samples[hi] * frac;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+TEST(IrradianceTrace, AtMatchesFmodReferenceBitForBit)
+{
+    // The in-range path skips fmod and %; it must agree bit for bit
+    // with the reference everywhere, including the edge where t just
+    // below the end makes t / dt round up to the sample count.
+    std::size_t edges = 0;
+    for (const double dt : {0.01, 0.05, 0.1, 0.3, 0.7, 1.0}) {
+        for (std::size_t n = 1; n <= 40; ++n) {
+            std::vector<double> samples(n);
+            for (std::size_t i = 0; i < n; ++i)
+                samples[i] = 0.25 + double((i * 7919) % 13);
+            const IrradianceTrace trace(samples, dt);
+            const double span = trace.duration();
+            std::vector<double> queries = {-1.0, -0.0, span, 2.5 * span,
+                                           7.0 * span + 0.3 * dt, 1e6};
+            for (std::size_t i = 0; i <= 2 * n; ++i) {
+                const double t = double(i) * dt;
+                queries.push_back(t);
+                queries.push_back(std::nextafter(t, 1e300));
+                queries.push_back(std::nextafter(t, -1e300));
+                queries.push_back(t + 0.5 * dt);
+            }
+            const double last = std::nextafter(span, 0.0);
+            queries.push_back(last);
+            if (std::size_t(last / dt) == n)
+                ++edges;
+            for (const double t : queries)
+                ASSERT_EQ(bitsOf(trace.at(t)),
+                          bitsOf(referenceAt(samples, dt, t)))
+                    << "dt=" << dt << " n=" << n << " t=" << t;
+        }
+    }
+    EXPECT_GT(edges, 0u) << "no case reached the lo == n rounding edge";
+}
+
+std::uint64_t
+traceDigest(const IrradianceTrace &trace)
+{
+    std::uint64_t h = util::kFnvOffsetBasis;
+    for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
+        const double v = trace.at(double(i) * trace.dt());
+        h = util::fnv1a64(&v, sizeof v, h);
+    }
+    return h;
+}
+
+TEST(IrradianceTrace, PedestrianNightGoldenDigests)
+{
+    // Golden values from the full-scan generator (every lobe tested at
+    // every sample); the windowed scan must reproduce them exactly.
+    EXPECT_EQ(traceDigest(IrradianceTrace::nycPedestrianNight(600.0, 0.05,
+                                                              42)),
+              0x133fa78fa40a312eull);
+    EXPECT_EQ(traceDigest(IrradianceTrace::nycPedestrianNight(
+                  600.0, 0.05, 20211014)),
+              0x12e001d2f0bc81b9ull);
 }
 
 TEST(IrradianceTrace, PedestrianNightRegime)
@@ -259,6 +347,77 @@ TEST_F(IntermittentSimTest, MonitorOverheadOrdersAppTime)
     EXPECT_GT(s_comp.appSeconds, s_adc.appSeconds);
     EXPECT_EQ(s_comp.failedCheckpoints, 0u);
     EXPECT_EQ(s_adc.failedCheckpoints, 0u);
+}
+
+std::string
+hexDouble(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+TEST(IntermittentSimGolden, ShortNightScenarioPerMonitor)
+{
+    // Exact RunStats of a 60 s night scenario per Table IV monitor,
+    // recorded before the integrator's trace lookup lost its fmod.
+    struct Golden {
+        const char *monitor;
+        const char *systemCurrent, *resolution, *sampleRate,
+            *checkpointVoltage, *appSeconds, *chargingSeconds,
+            *checkpointSeconds;
+        std::size_t checkpoints, failedCheckpoints;
+        const char *simulatedSeconds;
+    };
+    const Golden golden[] = {
+        {"Ideal", "0x1.d70534f326d3bp-14", "0x0p+0", "0x0p+0",
+         "0x1.d1cf942bfb82dp+0", "0x1.a10d844cfee33p+2",
+         "0x1.ab798c7e5991ap+5", "0x1.930be0ded290ep-5", 6, 0,
+         "0x1.e00000003122ap+5"},
+        {"FS (LP)", "0x1.d7c542e624959p-14", "0x1.84d4dfcc0663ep-5",
+         "0x1.f4p+9", "0x1.ddf846351d0c7p+0", "0x1.97bf487fc952bp+2",
+         "0x1.aca353f80043bp+5", "0x1.930be0ded290ep-5", 6, 0,
+         "0x1.e00000003122ap+5"},
+        {"FS (HP)", "0x1.d962e0330ad39p-14", "0x1.50551ec5d9751p-5",
+         "0x1.388p+13", "0x1.dc58ae9d65ec7p+0", "0x1.92e147ae1247dp+2",
+         "0x1.ad3f14123725p+5", "0x1.930be0ded290ep-5", 6, 0,
+         "0x1.e00000003122ap+5"},
+        {"Comparator", "0x1.34e915d8af592p-13", "0x1.eb851eb851eb8p-6",
+         "0x1.71e8f83e0f83ep+21", "0x1.db0d74cf03835p+0",
+         "0x1.3702de00d06f7p+2", "0x1.b8aa161e80c1fp+5",
+         "0x1.d63886594aff2p-5", 7, 0, "0x1.e00000003122ap+5"},
+        {"ADC", "0x1.8ba0b2928ee36p-12", "0x1.3333333333333p-12",
+         "0x1.869ffffffffffp+17", "0x1.ddb5d1217876ap+0",
+         "0x1.cf69446739e21p+0", "0x1.d0fe5c920262bp+5",
+         "0x1.0cb295e9e1b4cp-4", 8, 0, "0x1.e00000003122ap+5"},
+    };
+    const IntermittentSim sim(IrradianceTrace::nycPedestrianNight(60.0,
+                                                                  0.05, 5));
+    auto comparator = std::make_unique<analog::ComparatorMonitor>();
+    comparator->setThreshold(sim.checkpointVoltage(*comparator));
+    std::unique_ptr<analog::VoltageMonitor> monitors[] = {
+        std::make_unique<analog::IdealMonitor>(), makeFsLowPower(),
+        makeFsHighPerformance(), std::move(comparator),
+        std::make_unique<analog::AdcMonitor>()};
+    for (std::size_t m = 0; m < 5; ++m) {
+        const RunStats r = sim.run(*monitors[m]);
+        const Golden &g = golden[m];
+        EXPECT_EQ(r.monitor, g.monitor);
+        EXPECT_EQ(hexDouble(r.systemCurrent), g.systemCurrent) << g.monitor;
+        EXPECT_EQ(hexDouble(r.resolution), g.resolution) << g.monitor;
+        EXPECT_EQ(hexDouble(r.sampleRate), g.sampleRate) << g.monitor;
+        EXPECT_EQ(hexDouble(r.checkpointVoltage), g.checkpointVoltage)
+            << g.monitor;
+        EXPECT_EQ(hexDouble(r.appSeconds), g.appSeconds) << g.monitor;
+        EXPECT_EQ(hexDouble(r.chargingSeconds), g.chargingSeconds)
+            << g.monitor;
+        EXPECT_EQ(hexDouble(r.checkpointSeconds), g.checkpointSeconds)
+            << g.monitor;
+        EXPECT_EQ(r.checkpoints, g.checkpoints) << g.monitor;
+        EXPECT_EQ(r.failedCheckpoints, g.failedCheckpoints) << g.monitor;
+        EXPECT_EQ(hexDouble(r.simulatedSeconds), g.simulatedSeconds)
+            << g.monitor;
+    }
 }
 
 TEST(SystemComparisonShape, Fig8PenaltiesInPaperBands)

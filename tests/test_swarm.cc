@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "harvest/trace_csv.h"
 #include "serve/engine.h"
 #include "serve/wire.h"
 #include "swarm/audit_log.h"
@@ -271,6 +272,76 @@ TEST(Swarm, TraceCsvProfileRuns)
     const SwarmAggregates agg = runSwarmShard(cfg, pool);
     EXPECT_EQ(agg.deviceCount, 300u);
     EXPECT_GT(agg.boots, 0u);
+}
+
+TEST(Swarm, TraceCsvFieldEdgeCases)
+{
+    // Each row's expected status, line, message and parsed values were
+    // recorded from the istringstream/strtod parser that predates the
+    // from_chars fast path; the fast path must not move any of them.
+    struct Case {
+        std::string doc;
+        harvest::TraceCsvStatus status;
+        std::size_t line;
+        const char *message;
+        const char *values; ///< "%a/%a" per row, space-separated
+    };
+    using S = harvest::TraceCsvStatus;
+    const Case cases[] = {
+        {"0,+1.5\n", S::kOk, 0, "", "0x0p+0/0x1.8p+0"},
+        {"0,0x1p3\n", S::kOk, 0, "", "0x0p+0/0x1p+3"},
+        {"\t0\t,\t1.5 \n", S::kOk, 0, "", "0x0p+0/0x1.8p+0"},
+        {"0,\v1.5\n", S::kOk, 0, "", "0x0p+0/0x1.8p+0"},
+        {"0,1e999\n", S::kBadField, 1,
+         "field 2 is not a number: \"1e999\"", ""},
+        {"0,1e-320\n", S::kBadField, 1,
+         "field 2 is not a number: \"1e-320\"", ""},
+        {"0,2.2250738585072011e-308\n", S::kBadField, 1,
+         "field 2 is not a number: \"2.2250738585072011e-308\"", ""},
+        {"0,2.2250738585072014e-308\n", S::kOk, 0, "",
+         "0x0p+0/0x1p-1022"},
+        {"0,1.7976931348623159e308\n", S::kBadField, 1,
+         "field 2 is not a number: \"1.7976931348623159e308\"", ""},
+        {"0,0\n", S::kOk, 0, "", "0x0p+0/0x0p+0"},
+        {"0,-0\n", S::kOk, 0, "", "0x0p+0/-0x0p+0"},
+        {"-0,1\n1,2\n", S::kOk, 0, "", "-0x0p+0/0x1p+0 0x1p+0/0x1p+1"},
+        {"0,nan\n", S::kNonFinite, 1, "field 2 is not finite", ""},
+        {"0,inf\n", S::kNonFinite, 1, "field 2 is not finite", ""},
+        {"inf,1\n", S::kNonFinite, 1, "field 1 is not finite", ""},
+        {"0,\n", S::kBadField, 1, "field 2 is not a number: \"\"", ""},
+        {"0,1.5,\n", S::kBadField, 1, "field 3 is not a number: \"\"",
+         ""},
+        {"0,1e\n", S::kBadField, 1, "field 2 is not a number: \"1e\"",
+         ""},
+        {"0,.5\n1,5.\n", S::kOk, 0, "", "0x0p+0/0x1p-1 0x1p+0/0x1.4p+2"},
+        {"0,1.5\r\n1,2.5\r\n", S::kOk, 0, "",
+         "0x0p+0/0x1.8p+0 0x1p+0/0x1.4p+1"},
+        {"# c\n  # indented\n0,1\n", S::kOk, 0, "", "0x0p+0/0x1p+0"},
+        {"\n\n0,1", S::kOk, 0, "", "0x0p+0/0x1p+0"},
+        {"0,1\r\r\n", S::kBadField, 1, "field 2 is not a number: \"1\r\"",
+         ""},
+        {"0,1\n1,2,3,4\n", S::kBadArity, 2,
+         "row has 4 fields; expected 2 or 3", ""},
+        {"0,1\n1,2\n0.5,3\n", S::kNonMonotonic, 3,
+         "timestamp 0.5 does not increase", ""},
+        {"\n", S::kEmpty, 0, "no data rows", ""},
+    };
+    for (const Case &c : cases) {
+        const harvest::TraceCsvResult r = harvest::parseEnvTraceCsv(c.doc);
+        EXPECT_EQ(r.ok, c.status == S::kOk) << c.doc;
+        EXPECT_EQ(r.error.status, c.status) << c.doc;
+        EXPECT_EQ(r.error.line, c.line) << c.doc;
+        EXPECT_EQ(r.error.message, c.message) << c.doc;
+        std::string values;
+        for (std::size_t i = 0; i < r.trace.sampleCount(); ++i) {
+            char buf[80];
+            std::snprintf(buf, sizeof buf, "%s%a/%a",
+                          values.empty() ? "" : " ", r.trace.timeS[i],
+                          r.trace.wpm2[i]);
+            values += buf;
+        }
+        EXPECT_EQ(values, c.values) << c.doc;
+    }
 }
 
 TEST(Swarm, AnomalyCohortPrecision)
