@@ -65,6 +65,10 @@ snapshotStrideFor(const TortureConfig &config)
 struct TortureRig::Bench {
     std::shared_ptr<double> volts = std::make_shared<double>(0.0);
     std::unique_ptr<soc::Soc> soc;
+    /** Golden snapshot whose FRAM image the SoC still holds outside
+     *  `dirty` (null: unknown, the next fork restores in full). */
+    const GoldenSnapshot *held = nullptr;
+    std::vector<std::uint32_t> dirty; ///< FRAM pages differing from held
 };
 
 TortureRig::TortureRig(soc::GuestProgram prog, TortureConfig config)
@@ -205,6 +209,40 @@ TortureRig::snapshotsActive() const
     return !snapshotsDisabledByEnv() && snapshotStrideFor(config_) > 0;
 }
 
+void
+TortureRig::tallySlots(TortureOutcome &out, soc::Soc &sys,
+                       SlotCache *cache,
+                       const std::vector<std::uint32_t> &dirty)
+{
+    const auto &fram = sys.fram().data();
+    const auto &layout = sys.layout();
+    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
+        const auto inspect = [&] {
+            return soc::inspectCheckpointSlot(fram, layout, slot);
+        };
+        constexpr auto kPage = std::uint32_t(soc::PagedImage::kPageBytes);
+        const std::uint32_t base = layout.slotAddr(slot) - layout.framBase;
+        const std::uint32_t first = base / kPage;
+        const std::uint32_t last = (base + layout.slotSize() - 1) / kPage;
+        const auto d = std::lower_bound(dirty.begin(), dirty.end(), first);
+        soc::CheckpointSlotInfo info;
+        if (cache && (d == dirty.end() || *d > last)) {
+            // Clean slot: its bytes are the fork snapshot's.
+            std::call_once(cache->once[slot],
+                           [&] { cache->info[slot] = inspect(); });
+            info = cache->info[slot];
+        } else {
+            info = inspect();
+        }
+        if (info.valid()) {
+            ++out.validSlots;
+            out.newestSeq = std::max(out.newestSeq, info.seq);
+        } else if (info.magicOk) {
+            ++out.tornSlots;
+        }
+    }
+}
+
 TortureOutcome
 TortureRig::runKill(const PowerKill &kill) const
 {
@@ -233,16 +271,7 @@ TortureRig::runKill(const PowerKill &kill) const
 
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
-    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
-        const auto info = soc::inspectCheckpointSlot(
-            sys.fram().data(), sys.layout(), slot);
-        if (info.valid()) {
-            ++out.validSlots;
-            out.newestSeq = std::max(out.newestSeq, info.seq);
-        } else if (info.magicOk) {
-            ++out.tornSlots;
-        }
-    }
+    tallySlots(out, sys, nullptr, {});
 
     if (out.killed) {
         out.coldRestart = out.validSlots == 0;
@@ -403,7 +432,14 @@ TortureRig::runKillForked(const PowerKill &kill)
     FaultInjector injector(plan);
 
     const GoldenSnapshot &snap = snapshotBefore(kill.cycle);
-    sys.restoreSnapshot(snap.state);
+    if (bench->held) {
+        sys.restoreSnapshot(snap.state, bench->held->state, bench->dirty);
+        delta_restores_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        sys.restoreSnapshot(snap.state);
+        full_restores_.fetch_add(1, std::memory_order_relaxed);
+    }
+    bench->held = nullptr; // until finishOutcome() proves otherwise
     // Attaching the injector after the restore is exact: a kill-only
     // plan's write filter never tears (it only advances a cursor no
     // kill consults) and the kill poll compares absolute cycles, so
@@ -433,7 +469,7 @@ TortureRig::runKillForked(const PowerKill &kill)
         sys.powerOn();
     }
 
-    TortureOutcome out = finishOutcome(*bench, injector, &snap.state);
+    TortureOutcome out = finishOutcome(*bench, injector, snap);
     sys.setFaultInjector(nullptr);
     releaseBench(std::move(bench));
     return out;
@@ -441,30 +477,27 @@ TortureRig::runKillForked(const PowerKill &kill)
 
 TortureOutcome
 TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
-                          const soc::Snapshot *memo_base)
+                          const GoldenSnapshot &snap)
 {
     soc::Soc &sys = *bench.soc;
+    const std::vector<std::uint8_t> &fram = sys.fram().data();
     TortureOutcome out;
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
-    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
-        const auto info = soc::inspectCheckpointSlot(
-            sys.fram().data(), sys.layout(), slot);
-        if (info.valid()) {
-            ++out.validSlots;
-            out.newestSeq = std::max(out.newestSeq, info.seq);
-        } else if (info.magicOk) {
-            ++out.tornSlots;
-        }
-    }
 
     if (!out.killed) {
+        tallySlots(out, sys, nullptr, {});
         out.finished = sys.appFinished();
         out.result = out.finished ? sys.guestResult(prog_) : 0;
         out.resultCorrect = out.finished && out.result == prog_.expected;
         return out;
     }
 
+    // One memcmp pass against the fork snapshot finds the pages the
+    // kill run changed; slot forensics, the memo key, the memo
+    // comparison and the next fork's restore then touch only those.
+    snap.state.fram.dirtyPages(fram, bench.dirty);
+    tallySlots(out, sys, snap.slots.get(), bench.dirty);
     out.coldRestart = out.validSlots == 0;
     if (converge_on_) {
         // Convergence early-exit: power loss wiped all volatile
@@ -473,23 +506,31 @@ TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
         // (runKillsPruned()'s documented invariant). Serve repeats
         // from the memo; the byte-exact image comparison makes a
         // hash collision degrade to a miss, never a wrong verdict.
-        const std::uint64_t key = util::hashImage64(sys.fram().data());
+        // The key depends only on content, so identical images forked
+        // from different snapshots share an entry.
+        const std::uint64_t key = snap.state.fram.hash(fram, bench.dirty);
+        const RecoveryMemo *found = nullptr;
         {
             std::lock_guard<std::mutex> lock(memo_mu_);
             const auto it = memo_.find(key);
-            if (it != memo_.end() &&
-                it->second.image.equals(sys.fram().data())) {
+            if (it != memo_.end())
+                found = &it->second; // node-stable, never mutated
+        }
+        if (found &&
+            found->image.equals(fram, snap.state.fram, bench.dirty)) {
+            {
+                std::lock_guard<std::mutex> lock(memo_mu_);
                 ++memo_hits_;
-                out.finished = it->second.finished;
-                out.result = it->second.result;
-                out.resultCorrect =
-                    out.finished && out.result == prog_.expected;
-                return out;
             }
+            out.finished = found->finished;
+            out.result = found->result;
+            out.resultCorrect =
+                out.finished && out.result == prog_.expected;
+            bench.held = &snap; // FRAM untouched since the compare pass
+            return out;
         }
         RecoveryMemo memo;
-        memo.image.capture(sys.fram().data(),
-                           memo_base ? &memo_base->fram : nullptr);
+        memo.image.capture(fram, &snap.state.fram);
         *bench.volts = config_.stableVolts;
         sys.powerOn();
         sys.run(config_.recoveryCycles);
@@ -541,6 +582,8 @@ TortureRig::convergeStats() const
     std::lock_guard<std::mutex> lock(memo_mu_);
     st.memoEntries = memo_.size();
     st.memoHits = memo_hits_;
+    st.fullRestores = full_restores_.load(std::memory_order_relaxed);
+    st.deltaRestores = delta_restores_.load(std::memory_order_relaxed);
     return st;
 }
 

@@ -22,7 +22,13 @@
  * stable power, so the recovery outcome is a pure function of that
  * image -- the same invariant runKillsPruned() already rests on; a
  * byte-exact image comparison guards every memo hit, so hash
- * collisions cannot leak a wrong verdict). Verdicts are bit-identical
+ * collisions cannot leak a wrong verdict). After the kill, the cost is
+ * proportional to the FRAM pages it changed: one memcmp pass against
+ * the fork snapshot finds them, the memo key folds the snapshot's
+ * per-page digests with fresh ones for those pages, the memo
+ * comparison and the slot forensics skip clean pages, and the pooled
+ * SoC's next fork copies back only those pages plus the pages its two
+ * snapshots store differently. Verdicts are bit-identical
  * to replay-from-boot at any thread count; FS_NO_SNAPSHOT=1 forces
  * the legacy from-boot replay and FS_SNAPSHOT_STRIDE overrides the
  * capture stride (0 also disables forking).
@@ -31,6 +37,8 @@
 #ifndef FS_FAULT_TORTURE_RIG_H_
 #define FS_FAULT_TORTURE_RIG_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,6 +47,7 @@
 
 #include "fault/fault_plan.h"
 #include "fault/injection_map.h"
+#include "soc/checkpoint_firmware.h"
 #include "soc/guest_programs.h"
 #include "soc/snapshot.h"
 
@@ -99,6 +108,12 @@ struct ConvergeStats {
      *  the count itself can undershoot under concurrency (two threads
      *  racing the same cold image both execute the recovery). */
     std::size_t memoHits = 0;
+    /** Forks that restored the whole snapshot (fresh bench, or the
+     *  bench's previous kill ran past its compare pass). */
+    std::size_t fullRestores = 0;
+    /** Forks that copied only the previous kill's dirty pages plus
+     *  the pages the two snapshots store differently. */
+    std::size_t deltaRestores = 0;
 };
 
 /** Everything observed about one injected kill. */
@@ -210,6 +225,12 @@ class TortureRig
   private:
     struct Bench; ///< one disposable SoC + its supply cell
 
+    /** Lazily computed checkpoint-slot verdicts of one FRAM image. */
+    struct SlotCache {
+        std::array<std::once_flag, soc::kCheckpointSlots> once;
+        std::array<soc::CheckpointSlotInfo, soc::kCheckpointSlots> info;
+    };
+
     /** One instruction of the fault-free schedule, as a kill target. */
     struct ProbeStep {
         std::uint64_t cycleAfter = 0;   ///< totalCycles after the step
@@ -230,9 +251,13 @@ class TortureRig
         std::size_t powerCycle = 0;
         int phase = 0;
         std::uint64_t spentInPhase = 0;
+        /** Checkpoint-slot verdicts of state.fram, each filled by the
+         *  first kill that dies with that slot's pages clean. */
+        std::unique_ptr<SlotCache> slots = std::make_unique<SlotCache>();
     };
 
-    /** Memoized recovery verdict for one FRAM image at death. */
+    /** Memoized recovery verdict for one FRAM image at death.
+     *  Immutable once in memo_, so hits read it outside memo_mu_. */
     struct RecoveryMemo {
         soc::PagedImage image; ///< byte-compared on every hit
         bool finished = false;
@@ -251,7 +276,17 @@ class TortureRig
                    util::ThreadPool *pool);
     TortureOutcome runKillForked(const PowerKill &kill);
     TortureOutcome finishOutcome(Bench &bench, FaultInjector &injector,
-                                 const soc::Snapshot *memo_base);
+                                 const GoldenSnapshot &snap);
+    /**
+     * Slot forensics at the instant power died: valid and torn slot
+     * counts and the newest valid sequence, into @p out. With a
+     * @p cache (the fork snapshot's verdicts), a slot none of whose
+     * FRAM pages is in @p dirty takes the snapshot's verdict instead
+     * of re-running its CRC; the first such kill fills the entry.
+     */
+    static void tallySlots(TortureOutcome &out, soc::Soc &sys,
+                           SlotCache *cache,
+                           const std::vector<std::uint32_t> &dirty);
 
     std::unique_ptr<core::FailureSentinels> monitor_;
     soc::GuestProgram prog_;
@@ -272,9 +307,12 @@ class TortureRig
     mutable std::mutex memo_mu_;
     std::unordered_map<std::uint64_t, RecoveryMemo> memo_;
     std::size_t memo_hits_ = 0;
+    std::atomic<std::size_t> full_restores_{0};
+    std::atomic<std::size_t> delta_restores_{0};
 
-    /** Recycled SoCs: restoreSnapshot overwrites every byte of state,
-     *  so a reused bench is indistinguishable from a fresh build(). */
+    /** Recycled SoCs: restoreSnapshot overwrites every byte of state
+     *  (a delta restore provably so), so a reused bench is
+     *  indistinguishable from a fresh build(). */
     std::mutex bench_mu_;
     std::vector<std::unique_ptr<Bench>> bench_pool_;
 };

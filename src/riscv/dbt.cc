@@ -107,14 +107,19 @@ DbtCache::removeBlock(DbtBlock *victim)
 void
 DbtCache::flush()
 {
-    if (!blocks_.empty())
-        ++stats_.flushes;
+    ++generation_;
+    // An empty cache is already flushed: removeBlock() and the last
+    // flush nulled every slot that ever named a block, so skip the
+    // slot-array fill (a forked kill flushes twice: at power failure
+    // and again at the next snapshot restore).
+    if (blocks_.empty())
+        return;
+    ++stats_.flushes;
     slots_.fill({});
     blocks_.clear();
     bytes_ = 0;
     code_lo_ = 0;
     code_hi_ = 0;
-    ++generation_;
 }
 
 } // namespace riscv

@@ -1,5 +1,6 @@
 #include "soc/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 
@@ -8,6 +9,14 @@
 
 namespace fs {
 namespace soc {
+
+PagedImage::Page::Page(const std::uint8_t *src, std::size_t len)
+    : digest_(util::hashImage64(src, len)), size_(std::uint32_t(len)),
+      bytes_{}
+{
+    FS_ASSERT(len <= kPageBytes, "page overflow");
+    std::memcpy(bytes_.data(), src, len);
+}
 
 void
 PagedImage::capture(const std::vector<std::uint8_t> &mem,
@@ -23,15 +32,13 @@ PagedImage::capture(const std::vector<std::uint8_t> &mem,
         const std::size_t len = std::min(kPageBytes, size_ - off);
         if (share) {
             const auto &old = prev->pages_[p];
-            if (old->size() == len &&
-                std::memcmp(old->data(), mem.data() + off, len) == 0) {
+            if (std::memcmp(old->data(), mem.data() + off, len) == 0) {
                 pages_.push_back(old);
                 continue;
             }
         }
-        pages_.push_back(std::make_shared<const Page>(
-            mem.begin() + std::ptrdiff_t(off),
-            mem.begin() + std::ptrdiff_t(off + len)));
+        pages_.push_back(
+            std::make_shared<const Page>(mem.data() + off, len));
     }
 }
 
@@ -44,12 +51,37 @@ PagedImage::restore(std::vector<std::uint8_t> &mem) const
                     pages_[p]->size());
 }
 
-bool
-PagedImage::equals(const std::vector<std::uint8_t> &mem) const
+void
+PagedImage::restore(std::vector<std::uint8_t> &mem,
+                    const PagedImage &held,
+                    const std::vector<std::uint32_t> &dirty) const
 {
-    if (mem.size() != size_)
-        return false;
+    FS_ASSERT(mem.size() == size_ && held.size_ == size_,
+              "snapshot image size mismatch");
+    for (const std::uint32_t p : dirty)
+        std::memcpy(mem.data() + p * kPageBytes, pages_[p]->data(),
+                    pages_[p]->size());
     for (std::size_t p = 0; p < pages_.size(); ++p) {
+        if (pages_[p] != held.pages_[p])
+            std::memcpy(mem.data() + p * kPageBytes, pages_[p]->data(),
+                        pages_[p]->size());
+    }
+}
+
+bool
+PagedImage::equals(const std::vector<std::uint8_t> &mem,
+                   const PagedImage &base,
+                   const std::vector<std::uint32_t> &dirty) const
+{
+    if (mem.size() != size_ || base.size_ != size_)
+        return false;
+    auto next_dirty = dirty.begin();
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+        const bool is_dirty = next_dirty != dirty.end() && *next_dirty == p;
+        if (is_dirty)
+            ++next_dirty;
+        else if (pages_[p] == base.pages_[p])
+            continue; // same bytes as base, which mem holds here
         if (std::memcmp(mem.data() + p * kPageBytes,
                         pages_[p]->data(), pages_[p]->size()) != 0)
             return false;
@@ -57,12 +89,45 @@ PagedImage::equals(const std::vector<std::uint8_t> &mem) const
     return true;
 }
 
+void
+PagedImage::dirtyPages(const std::vector<std::uint8_t> &mem,
+                       std::vector<std::uint32_t> &dirty) const
+{
+    FS_ASSERT(mem.size() == size_, "snapshot image size mismatch");
+    dirty.clear();
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+        if (std::memcmp(mem.data() + p * kPageBytes, pages_[p]->data(),
+                        pages_[p]->size()) != 0)
+            dirty.push_back(std::uint32_t(p));
+    }
+}
+
 std::uint64_t
 PagedImage::hash() const
 {
     std::uint64_t h = util::kFnvOffsetBasis;
     for (const auto &page : pages_)
-        h = util::fnv1a64(page->data(), page->size(), h);
+        h = util::mixWord64(h, page->digest());
+    return h;
+}
+
+std::uint64_t
+PagedImage::hash(const std::vector<std::uint8_t> &mem,
+                 const std::vector<std::uint32_t> &dirty) const
+{
+    FS_ASSERT(mem.size() == size_, "snapshot image size mismatch");
+    std::uint64_t h = util::kFnvOffsetBasis;
+    auto next_dirty = dirty.begin();
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+        if (next_dirty != dirty.end() && *next_dirty == p) {
+            ++next_dirty;
+            h = util::mixWord64(
+                h, util::hashImage64(mem.data() + p * kPageBytes,
+                                     pages_[p]->size()));
+        } else {
+            h = util::mixWord64(h, pages_[p]->digest());
+        }
+    }
     return h;
 }
 

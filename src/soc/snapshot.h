@@ -21,6 +21,7 @@
 #ifndef FS_SOC_SNAPSHOT_H_
 #define FS_SOC_SNAPSHOT_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -37,11 +38,33 @@ namespace soc {
  * are unchanged; only differing pages allocate. Sharing is detected
  * by comparison at capture time (not dirty bits), so direct data()
  * mutations -- image staging, tears -- can never be missed.
+ *
+ * Each page carries a content digest computed once, when the page is
+ * created, so a shared page shares its digest. A live memory that
+ * still matches an image outside a few pages ("dirty pages", found by
+ * dirtyPages()) can then be hashed, compared and restored at a cost
+ * proportional to those pages: the overloads taking @p dirty.
  */
 class PagedImage
 {
   public:
     static constexpr std::size_t kPageBytes = 256;
+
+    /** One immutable page and its util::hashImage64 digest. */
+    class Page
+    {
+      public:
+        Page(const std::uint8_t *src, std::size_t len);
+
+        const std::uint8_t *data() const { return bytes_.data(); }
+        std::size_t size() const { return size_; }
+        std::uint64_t digest() const { return digest_; }
+
+      private:
+        std::uint64_t digest_;
+        std::uint32_t size_;
+        std::array<std::uint8_t, kPageBytes> bytes_;
+    };
 
     /** Snapshot @p mem, sharing unchanged pages with @p prev. */
     void capture(const std::vector<std::uint8_t> &mem,
@@ -50,11 +73,41 @@ class PagedImage
     /** Write the image back into @p mem (sizes must match). */
     void restore(std::vector<std::uint8_t> &mem) const;
 
-    /** Byte-exact comparison against a live memory. */
-    bool equals(const std::vector<std::uint8_t> &mem) const;
+    /**
+     * restore() into a memory that holds @p held's image except on
+     * the pages in @p dirty: copies only those pages and the pages
+     * stored differently in @p held and this image.
+     */
+    void restore(std::vector<std::uint8_t> &mem, const PagedImage &held,
+                 const std::vector<std::uint32_t> &dirty) const;
 
-    /** FNV-1a over the full image contents. */
+    /**
+     * Byte-exact comparison against a memory that holds @p base's
+     * image except on the pages in @p dirty: skips the clean pages
+     * this image shares with @p base and byte-compares the rest.
+     */
+    bool equals(const std::vector<std::uint8_t> &mem,
+                const PagedImage &base,
+                const std::vector<std::uint32_t> &dirty) const;
+
+    /**
+     * Indices of the pages where @p mem differs from this image, in
+     * ascending order, into @p dirty (one memcmp pass; sizes must
+     * match).
+     */
+    void dirtyPages(const std::vector<std::uint8_t> &mem,
+                    std::vector<std::uint32_t> &dirty) const;
+
+    /** Content hash: the page digests folded in page order. */
     std::uint64_t hash() const;
+
+    /**
+     * hash() of a memory that holds this image except on the pages in
+     * @p dirty: equal to capturing @p mem and hashing the capture, but
+     * digests only the dirty pages.
+     */
+    std::uint64_t hash(const std::vector<std::uint8_t> &mem,
+                       const std::vector<std::uint32_t> &dirty) const;
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -62,7 +115,6 @@ class PagedImage
     /** Number of pages NOT shared with @p prev (test observability). */
     std::size_t pagesOwnedVs(const PagedImage &prev) const;
 
-    using Page = std::vector<std::uint8_t>;
     const std::vector<std::shared_ptr<const Page>> &pages() const
     {
         return pages_;

@@ -228,8 +228,22 @@ Soc::saveSnapshot(const Snapshot *prev) const
 void
 Soc::restoreSnapshot(const Snapshot &snap)
 {
-    hart_.restoreArch(snap.hart);
     snap.fram.restore(fram_.data());
+    restoreAllButFram(snap);
+}
+
+void
+Soc::restoreSnapshot(const Snapshot &snap, const Snapshot &held,
+                     const std::vector<std::uint32_t> &dirty_fram_pages)
+{
+    snap.fram.restore(fram_.data(), held.fram, dirty_fram_pages);
+    restoreAllButFram(snap);
+}
+
+void
+Soc::restoreAllButFram(const Snapshot &snap)
+{
+    hart_.restoreArch(snap.hart);
     snap.sram.restore(sram_.data());
     fs_.restoreState(snap.peripheral);
     fram_.restoreWriteState(snap.framWrites, snap.framBytesWritten);

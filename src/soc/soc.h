@@ -133,7 +133,20 @@ class Soc
      */
     void restoreSnapshot(const Snapshot &snap);
 
+    /**
+     * restoreSnapshot() into a SoC whose FRAM still holds @p held's
+     * image except on @p dirty_fram_pages (as
+     * PagedImage::dirtyPages() found them): FRAM copies only those
+     * pages plus the pages the two snapshots store differently. The
+     * result is byte-identical to restoreSnapshot(@p snap).
+     */
+    void restoreSnapshot(const Snapshot &snap, const Snapshot &held,
+                         const std::vector<std::uint32_t> &dirty_fram_pages);
+
   private:
+    /** Everything restoreSnapshot() restores except FRAM contents. */
+    void restoreAllButFram(const Snapshot &snap);
+
     /**
      * Cycles the fast path may run from now without crossing the next
      * external event: the injector's next scheduled kill and the

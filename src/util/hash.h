@@ -44,11 +44,27 @@ fnv1a64(const std::vector<std::uint8_t> &bytes,
 }
 
 /**
- * Bulk image hash: FNV-1a mixing over 8-byte words with a byte-wise
- * tail, ~8x the throughput of the canonical byte stream on large
- * images. NOT the same digest as fnv1a64() -- use it only for hashes
- * that never leave the process (memo keys, dedup tables) and are
- * backed by a byte-exact comparison.
+ * One word step of hashImage64(): FNV-1a's xor-multiply plus a
+ * xorshift. A multiply only carries bits upward, so without the shift
+ * two inputs differing only in high bits keep a difference confined
+ * to those bits forever, and a second high-bit difference cancels it
+ * with probability ~2^-8 (two FRAM death images differing only in the
+ * top byte of two words did collide). The shift folds high bits back
+ * down, so every later step sees the difference.
+ */
+inline std::uint64_t
+mixWord64(std::uint64_t h, std::uint64_t w)
+{
+    h = (h ^ w) * kFnvPrime;
+    return h ^ (h >> 32);
+}
+
+/**
+ * Bulk image hash: mixWord64() over 8-byte words with a byte-wise
+ * tail, several times the throughput of the canonical byte stream on
+ * large images. NOT the same digest as fnv1a64() -- use it only for
+ * hashes that never leave the process (memo keys, dedup tables) and
+ * are backed by a byte-exact comparison.
  */
 inline std::uint64_t
 hashImage64(const void *data, std::size_t len,
@@ -60,13 +76,10 @@ hashImage64(const void *data, std::size_t len,
     for (; i + 8 <= len; i += 8) {
         std::uint64_t w; // memcpy: p has no alignment guarantee
         __builtin_memcpy(&w, p + i, 8);
-        h ^= w;
-        h *= kFnvPrime;
+        h = mixWord64(h, w);
     }
-    for (; i < len; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
+    for (; i < len; ++i)
+        h = mixWord64(h, p[i]);
     return h;
 }
 

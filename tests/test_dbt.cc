@@ -85,6 +85,46 @@ TEST(DbtCache, InsertLookupFlushAndCodeExtent)
     EXPECT_EQ(cache.stats().flushes, 1u);
 }
 
+TEST(DbtCache, FlushOfAnEmptyCacheOnlyBumpsTheGeneration)
+{
+    DbtCache cache;
+    DbtBlock *a = cache.insert(makeBlock(0x100, 4));
+    EXPECT_EQ(cache.lookup(0x100), a); // populate a direct slot
+    cache.flush();
+    ASSERT_EQ(cache.stats().flushes, 1u);
+
+    // A second flush finds nothing to drop: it still bumps the
+    // generation (the executor's stale-block guard) but is not counted
+    // as an invalidation, and the cache behaves exactly as after one.
+    const std::uint64_t gen = cache.generation();
+    cache.flush();
+    EXPECT_EQ(cache.generation(), gen + 1);
+    EXPECT_EQ(cache.stats().flushes, 1u);
+    EXPECT_EQ(cache.blockCount(), 0u);
+    EXPECT_EQ(cache.cacheBytes(), 0u);
+    EXPECT_EQ(cache.lookup(0x100), nullptr);
+    EXPECT_FALSE(cache.overlapsCode(0x100, 4));
+
+    // The slot the first block used is reusable by a new translation
+    // at the same pc and by one that maps to the same direct slot.
+    DbtBlock *b = cache.insert(makeBlock(0x100, 2));
+    EXPECT_EQ(cache.lookup(0x100), b);
+    const std::uint32_t alias =
+        0x100 + std::uint32_t(DbtCache::kDirectSlots) * 4u;
+    EXPECT_EQ(cache.lookup(alias), nullptr);
+    DbtBlock *c = cache.insert(makeBlock(alias, 2));
+    EXPECT_EQ(cache.lookup(alias), c);
+    EXPECT_EQ(cache.lookup(0x100), b);
+    EXPECT_TRUE(cache.overlapsCode(0x100, 4));
+    EXPECT_FALSE(cache.overlapsCode(0x0fc, 4));
+
+    // A fresh cache is empty too: flushing it counts nothing.
+    DbtCache fresh;
+    fresh.flush();
+    EXPECT_EQ(fresh.stats().flushes, 0u);
+    EXPECT_EQ(fresh.generation(), 1u);
+}
+
 TEST(DbtCache, ReplacingABlockUnlinksItsChains)
 {
     DbtCache cache;

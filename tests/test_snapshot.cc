@@ -1,17 +1,21 @@
 /**
  * @file
  * Snapshot-fork fault grading tests: PagedImage copy-on-write
- * semantics, full-SoC snapshot save/restore bit-identity across the
- * interpreter and DBT tiers, snapshot interaction with power
- * failures, forked torture campaigns against the replay-from-boot
- * reference (with and without convergence memoization, at 1 and 8
- * threads), the v2 wire format's exhaustive point-range shards and
- * coverage maps, and shard-merge byte-identity through the engine.
+ * semantics and page digests, full-SoC snapshot save/restore
+ * bit-identity across the interpreter and DBT tiers, delta restores
+ * against full ones, snapshot interaction with power failures, forked
+ * torture campaigns against the replay-from-boot reference (with and
+ * without convergence memoization, at 1, 4 and 8 threads, in two kill
+ * orders) and their full-restore fallbacks, the v2 wire format's
+ * exhaustive point-range shards and coverage maps, and shard-merge
+ * byte-identity through the engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "soc/soc.h"
 #include "util/hash.h"
 #include "util/parallel.h"
+#include "util/random.h"
 
 namespace fs {
 namespace {
@@ -64,6 +69,15 @@ class EnvGuard
 // PagedImage
 // ---------------------------------------------------------------------
 
+/** True when @p image holds exactly the bytes of @p mem. */
+bool
+holds(const soc::PagedImage &image, const std::vector<std::uint8_t> &mem)
+{
+    std::vector<std::uint32_t> dirty;
+    image.dirtyPages(mem, dirty);
+    return dirty.empty();
+}
+
 TEST(PagedImage, RoundTripSharingAndDistinctBytes)
 {
     std::vector<std::uint8_t> mem(4096);
@@ -73,7 +87,7 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     soc::PagedImage a;
     a.capture(mem, nullptr);
     EXPECT_EQ(a.size(), mem.size());
-    EXPECT_TRUE(a.equals(mem));
+    EXPECT_TRUE(holds(a, mem));
     std::vector<std::uint8_t> out(mem.size());
     a.restore(out);
     EXPECT_EQ(out, mem);
@@ -84,8 +98,8 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     soc::PagedImage b;
     b.capture(mem, &a);
     EXPECT_EQ(b.pagesOwnedVs(a), 1u);
-    EXPECT_FALSE(a.equals(mem));
-    EXPECT_TRUE(b.equals(mem));
+    EXPECT_FALSE(holds(a, mem));
+    EXPECT_TRUE(holds(b, mem));
     EXPECT_NE(a.hash(), b.hash());
 
     // Shared pages are counted once in the memory high-water.
@@ -97,6 +111,76 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     c.capture(mem, &b);
     EXPECT_EQ(c.pagesOwnedVs(b), 0u);
     EXPECT_EQ(c.hash(), b.hash());
+}
+
+TEST(PagedImage, PageDigestsAreComputedOnceAndSharedWithThePage)
+{
+    // A ragged tail page (not a multiple of kPageBytes) included.
+    std::vector<std::uint8_t> mem(4 * soc::PagedImage::kPageBytes + 100);
+    for (std::size_t i = 0; i < mem.size(); ++i)
+        mem[i] = std::uint8_t(i * 13 + 5);
+
+    soc::PagedImage a;
+    a.capture(mem, nullptr);
+    ASSERT_EQ(a.pages().size(), 5u);
+    EXPECT_EQ(a.pages().back()->size(), 100u);
+    for (const auto &page : a.pages())
+        EXPECT_EQ(page->digest(),
+                  util::hashImage64(page->data(), page->size()));
+
+    // Dirty one byte on page 1 and one on the tail page.
+    mem[soc::PagedImage::kPageBytes + 17] ^= 0x40;
+    mem[mem.size() - 1] ^= 0x01;
+    soc::PagedImage b;
+    b.capture(mem, &a);
+    for (std::size_t p = 0; p < b.pages().size(); ++p) {
+        const auto &page = b.pages()[p];
+        EXPECT_EQ(page->digest(),
+                  util::hashImage64(page->data(), page->size()));
+        // A shared page is the same node, so it carries one digest.
+        const bool owned = p == 1 || p == 4;
+        EXPECT_EQ(page.get() == a.pages()[p].get(), !owned) << p;
+    }
+
+    // The compare pass finds exactly the dirty pages, and everything
+    // derived from (a, dirty) agrees with a full capture of mem.
+    std::vector<std::uint32_t> dirty;
+    a.dirtyPages(mem, dirty);
+    EXPECT_EQ(dirty, (std::vector<std::uint32_t>{1, 4}));
+    EXPECT_EQ(a.hash(mem, dirty), b.hash());
+    EXPECT_NE(a.hash(), b.hash());
+    EXPECT_TRUE(b.equals(mem, a, dirty));
+    EXPECT_FALSE(a.equals(mem, a, dirty));
+    b.dirtyPages(mem, dirty);
+    EXPECT_TRUE(dirty.empty());
+
+    // The hash depends on content only: an unshared capture of the
+    // same bytes hashes the same, and compares equal page by page.
+    soc::PagedImage fresh;
+    fresh.capture(mem, nullptr);
+    EXPECT_EQ(fresh.pagesOwnedVs(b), fresh.pages().size());
+    EXPECT_EQ(fresh.hash(), b.hash());
+    EXPECT_TRUE(fresh.equals(mem, b, dirty));
+
+    // Only pages shared with the base are skipped: an image that
+    // differs from mem on a clean page (as a colliding memo entry
+    // captured against another snapshot would) compares unequal.
+    std::vector<std::uint8_t> other_bytes = mem;
+    other_bytes[2 * soc::PagedImage::kPageBytes + 9] ^= 0x10;
+    soc::PagedImage other;
+    other.capture(other_bytes, &b);
+    EXPECT_FALSE(other.equals(mem, b, dirty));
+
+    // Delta restore: a memory holding a's image plus one scribbled
+    // page becomes b's image by copying that page and the pages a
+    // and b store differently.
+    std::vector<std::uint8_t> live(mem.size());
+    a.restore(live);
+    live[3 * soc::PagedImage::kPageBytes] ^= 0xff;
+    a.dirtyPages(live, dirty);
+    EXPECT_EQ(dirty, (std::vector<std::uint32_t>{3}));
+    b.restore(live, a, dirty);
+    EXPECT_EQ(live, mem);
 }
 
 // ---------------------------------------------------------------------
@@ -220,6 +304,89 @@ TEST(SocSnapshot, RestoredSocSurvivesPowerFailLikeTheOriginal)
     b.soc->run(60'000'000);
     EXPECT_EQ(fingerprint(*b.soc), want);
     EXPECT_EQ(b.soc->guestResult(prog), a.soc->guestResult(prog));
+}
+
+/** Every byte of state a restore writes, compared field by field. */
+void
+expectSameSocState(soc::Soc &a, soc::Soc &b)
+{
+    EXPECT_EQ(a.fram().data(), b.fram().data());
+    EXPECT_EQ(a.sram().data(), b.sram().data());
+    const soc::Snapshot x = a.saveSnapshot();
+    const soc::Snapshot y = b.saveSnapshot();
+    EXPECT_EQ(x.hart.regs, y.hart.regs);
+    EXPECT_EQ(x.hart.pc, y.hart.pc);
+    EXPECT_EQ(x.hart.csrs, y.hart.csrs);
+    EXPECT_EQ(x.hart.cycles, y.hart.cycles);
+    EXPECT_EQ(x.hart.instret, y.hart.instret);
+    EXPECT_EQ(x.hart.wfi, y.hart.wfi);
+    EXPECT_EQ(x.hart.halted, y.hart.halted);
+    EXPECT_EQ(x.peripheral.time, y.peripheral.time);
+    EXPECT_EQ(x.peripheral.nextSample, y.peripheral.nextSample);
+    EXPECT_EQ(x.peripheral.count, y.peripheral.count);
+    EXPECT_EQ(x.peripheral.threshold, y.peripheral.threshold);
+    EXPECT_EQ(x.peripheral.ctrl, y.peripheral.ctrl);
+    EXPECT_EQ(x.peripheral.irqPending, y.peripheral.irqPending);
+    EXPECT_EQ(x.peripheral.freshCount, y.peripheral.freshCount);
+    EXPECT_EQ(x.peripheral.samples, y.peripheral.samples);
+    EXPECT_EQ(x.framWrites, y.framWrites);
+    EXPECT_EQ(x.framBytesWritten, y.framBytesWritten);
+    EXPECT_EQ(x.sramWrites, y.sramWrites);
+    EXPECT_EQ(x.totalCycles, y.totalCycles);
+    EXPECT_EQ(x.powerCycles, y.powerCycles);
+    EXPECT_EQ(x.appFinished, y.appFinished);
+    EXPECT_EQ(x.faultKilled, y.faultKilled);
+}
+
+TEST(SocSnapshot, DeltaRestoreAfterAForkChainMatchesAFullRestore)
+{
+    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
+    SocBench golden = makeBench();
+    golden.soc->loadGuest(prog);
+    golden.soc->powerOn();
+
+    // A copy-on-write golden chain, one snapshot every 2500 cycles;
+    // the guest's stores change FRAM pages between them.
+    std::vector<soc::Snapshot> chain;
+    chain.push_back(golden.soc->saveSnapshot());
+    while (chain.size() < 12 && !golden.soc->appFinished()) {
+        golden.soc->run(2500);
+        chain.push_back(golden.soc->saveSnapshot(&chain.back()));
+    }
+    ASSERT_EQ(chain.size(), 12u);
+
+    // One bench forks over and over, always restoring from what its
+    // previous fork left behind; a second bench restores in full.
+    SocBench forked = makeBench();
+    SocBench full = makeBench();
+    forked.soc->restoreSnapshot(chain[0]);
+    const soc::Snapshot *held = &chain[0];
+    std::vector<std::uint32_t> dirty;
+    const std::size_t order[] = {5, 2, 9, 9, 0, 11, 3, 7, 1, 10, 4, 6, 8};
+    for (std::size_t step = 0; step < std::size(order); ++step) {
+        SCOPED_TRACE(step);
+        // Dirty the fork the ways a kill run does: execution (FRAM
+        // stores and write counters), a direct data() scribble like a
+        // torn store, and a power failure.
+        forked.soc->run(700 + 300 * step);
+        auto &fram = forked.soc->fram().data();
+        fram[(step * 7919 * 16) % fram.size()] ^= std::uint8_t(step + 1);
+        forked.soc->powerFail();
+        held->fram.dirtyPages(fram, dirty);
+
+        const soc::Snapshot &next = chain[order[step]];
+        forked.soc->restoreSnapshot(next, *held, dirty);
+        full.soc->restoreSnapshot(next);
+        expectSameSocState(*forked.soc, *full.soc);
+        held = &next;
+    }
+
+    // Both resume to the same end state.
+    forked.soc->run(60'000'000);
+    full.soc->run(60'000'000);
+    ASSERT_TRUE(full.soc->appFinished());
+    EXPECT_EQ(fingerprint(*forked.soc), fingerprint(*full.soc));
+    expectSameSocState(*forked.soc, *full.soc);
 }
 
 // ---------------------------------------------------------------------
@@ -350,6 +517,140 @@ TEST_F(SnapshotFork, StrideZeroDisablesForking)
 {
     EnvGuard guard("FS_SNAPSHOT_STRIDE", "0");
     EXPECT_FALSE(rig().snapshotsActive());
+}
+
+// ---------------------------------------------------------------------
+// Page-delta forks: verdicts and full-restore fallbacks
+// ---------------------------------------------------------------------
+
+fault::TortureRig
+makeDeltaRig()
+{
+    fault::TortureConfig config;
+    config.stableCycles = 60'000;
+    config.lowCycles = 30'000;
+    return fault::TortureRig(soc::makeCrc32Program(2048, 11), config);
+}
+
+/** Uniform kills over the clean run plus a stride through (and just
+ *  past) every commit window, all with non-zero tear masks, in cycle
+ *  order. */
+std::vector<fault::PowerKill>
+deltaKills(fault::TortureRig &rig)
+{
+    Rng rng(0xde17a);
+    const auto kill = [&](std::uint64_t cycle) {
+        return fault::PowerKill{
+            cycle, unsigned(rng.uniformInt(0, 3)),
+            std::uint32_t(rng.uniformInt(1, 0xffffffffLL))};
+    };
+    std::vector<fault::PowerKill> out;
+    const std::uint64_t clean = rig.cleanRunCycles();
+    for (std::uint64_t i = 0; i < 64; ++i)
+        out.push_back(kill(i * clean / 64));
+    for (std::size_t w = 0; w < rig.checkpointCount(); ++w) {
+        const fault::CommitWindow win = rig.commitWindow(w);
+        const std::uint64_t stride =
+            std::max<std::uint64_t>(1, win.length() / 12);
+        for (std::uint64_t c = win.begin; c < win.end; c += stride)
+            out.push_back(kill(c));
+        // Just after the commit: the slot turned valid since the last
+        // snapshot, so its cached verdict must not be reused.
+        out.push_back(kill(win.end));
+        out.push_back(kill(win.end + 1));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const fault::PowerKill &a, const fault::PowerKill &b) {
+                  return a.cycle < b.cycle;
+              });
+    return out;
+}
+
+TEST(DeltaFork, VerdictsMatchFromBootInTwoKillOrdersAtOneFourAndEightThreads)
+{
+    fault::TortureRig reference_rig = makeDeltaRig();
+    const std::vector<fault::PowerKill> ascending =
+        deltaKills(reference_rig);
+    ASSERT_GT(reference_rig.checkpointCount(), 1u);
+    util::ThreadPool four(4);
+    const std::vector<fault::TortureOutcome> ref =
+        four.parallelMap(ascending.size(), [&](std::size_t i) {
+            return reference_rig.runKill(ascending[i]);
+        });
+
+    std::vector<std::size_t> shuffled(ascending.size());
+    for (std::size_t i = 0; i < shuffled.size(); ++i)
+        shuffled[i] = i;
+    Rng(0x5eed).shuffle(shuffled);
+    std::vector<std::size_t> in_order(shuffled.size());
+    for (std::size_t i = 0; i < in_order.size(); ++i)
+        in_order[i] = i;
+
+    for (const auto *order : {&in_order, &shuffled}) {
+        std::vector<fault::PowerKill> batch;
+        for (const std::size_t i : *order)
+            batch.push_back(ascending[i]);
+        for (const std::size_t threads : {1u, 4u, 8u}) {
+            SCOPED_TRACE(std::string(order == &in_order ? "ascending"
+                                                        : "shuffled") +
+                         " at " + std::to_string(threads) + " threads");
+            // A fresh rig per campaign: cold memo, fresh benches.
+            fault::TortureRig rig = makeDeltaRig();
+            util::ThreadPool pool(threads);
+            const auto got = rig.runKills(batch, &pool);
+            ASSERT_EQ(got.size(), batch.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameOutcome(ref[(*order)[i]], got[i], i);
+            const fault::ConvergeStats cs = rig.convergeStats();
+            EXPECT_EQ(cs.fullRestores + cs.deltaRestores, batch.size());
+            EXPECT_GT(cs.deltaRestores, 0u);
+            EXPECT_GT(cs.memoHits, 0u);
+        }
+    }
+}
+
+TEST(DeltaFork, NeverFiredKillsAndMemoMissesFallBackToAFullRestore)
+{
+    fault::TortureRig rig = makeDeltaRig();
+    util::ThreadPool one(1); // one bench, reused by every fork
+    const std::uint64_t clean = rig.cleanRunCycles();
+    const fault::PowerKill mid{clean / 2, 1, 0x0F0F0F0Fu};
+    const fault::PowerKill never{clean + 1000, 2, 0xF0F0F0F0u};
+
+    struct Step {
+        const char *what; ///< what the previous fork left behind
+        fault::PowerKill kill;
+        bool converge;
+        bool fullRestore; ///< expected restore for this fork
+    };
+    const Step steps[] = {
+        {"a fresh bench", mid, true, true},         // memo miss
+        {"a memo miss", mid, true, true},           // memo hit
+        {"a memo hit", mid, true, false},           // memo hit
+        {"a memo hit", never, true, false},         // never fires
+        {"a kill that never fired", mid, true, true},
+        {"a memo hit", mid, false, false},          // recovery ran
+        {"a recovery without the memo", mid, true, true},
+        {"a memo hit", never, true, false},
+        {"a kill that never fired", never, true, true},
+    };
+    std::size_t full = 0, delta = 0;
+    for (const Step &st : steps) {
+        SCOPED_TRACE(std::string("fork after ") + st.what);
+        rig.setConvergenceEnabled(st.converge);
+        const auto got = rig.runKills({st.kill}, &one);
+        rig.setConvergenceEnabled(true);
+        ASSERT_EQ(got.size(), 1u);
+        expectSameOutcome(rig.runKill(st.kill), got[0], 0);
+        EXPECT_EQ(got[0].killed, st.kill.cycle == mid.cycle);
+        ++(st.fullRestore ? full : delta);
+        const fault::ConvergeStats cs = rig.convergeStats();
+        EXPECT_EQ(cs.fullRestores, full);
+        EXPECT_EQ(cs.deltaRestores, delta);
+    }
+    const fault::ConvergeStats cs = rig.convergeStats();
+    EXPECT_EQ(cs.memoEntries, 1u);
+    EXPECT_EQ(cs.memoHits, 4u);
 }
 
 // ---------------------------------------------------------------------

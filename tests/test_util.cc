@@ -18,6 +18,7 @@
 #include "util/bench_report.h"
 #include "util/csv.h"
 #include "util/env.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -29,6 +30,36 @@
 
 namespace fs {
 namespace {
+
+TEST(Hash, ImageHashSeesDifferencesConfinedToHighBytes)
+{
+    // Pairs of images that differ from one base only in the top byte
+    // of one 8-byte word each. A plain xor-multiply chain never moves
+    // such a difference below bit 56, so about one pair in 256 used
+    // to collide; the xorshift in mixWord64 makes that vanishingly rare.
+    std::vector<std::uint8_t> base(4096);
+    for (std::size_t i = 0; i < base.size(); ++i)
+        base[i] = std::uint8_t(i * 31 + 7);
+    const std::size_t words = base.size() / 8;
+    Rng rng(0x1a6e);
+    int collisions = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const std::size_t i = rng.index(words);
+        const std::size_t j = rng.index(words);
+        std::vector<std::uint8_t> x = base;
+        std::vector<std::uint8_t> y = base;
+        x[8 * i + 7] ^= std::uint8_t(rng.uniformInt(1, 255));
+        y[8 * j + 7] ^= std::uint8_t(rng.uniformInt(1, 255));
+        if (x != y && util::hashImage64(x) == util::hashImage64(y))
+            ++collisions;
+    }
+    EXPECT_EQ(collisions, 0);
+
+    // The byte-wise tail goes through the same step.
+    const std::uint8_t a[3] = {1, 2, 0x80};
+    const std::uint8_t b[3] = {1, 2, 0x00};
+    EXPECT_NE(util::hashImage64(a, 3), util::hashImage64(b, 3));
+}
 
 TEST(Units, LiteralsScaleCorrectly)
 {
