@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -33,6 +34,8 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "swarm/swarm.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace fs {
@@ -129,6 +132,10 @@ randomRequests(Rng &rng)
     torture.seed = std::uint64_t(rng.uniformInt(0, 1 << 30));
     torture.killsPerWindow = std::uint32_t(rng.uniformInt(0, 64));
     torture.randomKills = std::uint32_t(rng.uniformInt(0, 64));
+    torture.exhaustivePoints = std::uint64_t(rng.uniformInt(0, 1 << 30));
+    torture.pointOffset = std::uint64_t(rng.uniformInt(0, 1 << 20));
+    torture.pointCount = std::uint64_t(rng.uniformInt(0, 1 << 20));
+    torture.coverageMap = std::uint8_t(rng.uniformInt(0, 1));
 
     GuestRunJob guest;
     guest.workload = randomWorkload(rng);
@@ -143,7 +150,44 @@ randomRequests(Rng &rng)
             std::uint32_t(rng.uniformInt(0, 0xffffffffLL)));
     lint.emitPruning = std::uint8_t(rng.uniformInt(0, 1));
 
-    return {ro, dp, dse, torture, guest, lint};
+    SwarmJob swarm;
+    swarm.deviceCount = std::uint64_t(rng.uniformInt(1, 1 << 20));
+    swarm.firstDevice = std::uint64_t(rng.uniformInt(0, 64)) * 512;
+    swarm.spanDevices = std::uint64_t(rng.uniformInt(0, 1 << 16));
+    swarm.seed = std::uint64_t(rng.uniformInt(0, 1 << 30));
+    swarm.profile = std::uint32_t(rng.uniformInt(0, 4));
+    swarm.traceSeconds = rng.uniform(1.0, 3600.0);
+    swarm.segmentSeconds = rng.uniform(0.1, 60.0);
+    swarm.ckptPeriodS = rng.uniform(0.01, 10.0);
+    swarm.zThreshold = rng.uniform(1.0, 8.0);
+    swarm.warmup = std::uint32_t(rng.uniformInt(0, 64));
+    swarm.tripsToFlag = std::uint32_t(rng.uniformInt(1, 8));
+    swarm.anomalyEvery = std::uint64_t(rng.uniformInt(0, 1000));
+    swarm.anomalyFactor = rng.uniform(0.0, 1.0);
+    swarm.traceCsv = randomString(rng, 48);
+
+    return {ro, dp, dse, torture, guest, lint, swarm};
+}
+
+/**
+ * A swarm shard with every aggregate populated: three blocks of
+ * Welford moments, non-zero histogram buckets and reservoir entries.
+ */
+const SwarmResult &
+populatedSwarmResult()
+{
+    static const SwarmResult res = [] {
+        swarm::SwarmConfig cfg;
+        cfg.deviceCount = 1100;
+        cfg.seed = 42;
+        cfg.traceSeconds = 120.0;
+        cfg.anomalyEvery = 64;
+        util::ThreadPool pool(1);
+        SwarmResult r;
+        r.agg = swarm::runSwarmShard(cfg, pool);
+        return r;
+    }();
+    return res;
 }
 
 std::vector<Response>
@@ -174,6 +218,20 @@ randomResponses(Rng &rng)
         torture.results.push_back(
             std::uint32_t(rng.uniformInt(0, 0xffffffffLL)));
     }
+    const std::size_t sites = std::size_t(rng.uniformInt(0, 8));
+    for (std::size_t i = 0; i < sites; ++i) {
+        TortureCoverageWire c;
+        c.addr = std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+        c.cls = std::uint8_t(rng.uniformInt(0, 2));
+        c.rank = std::uint32_t(rng.uniformInt(0, 64));
+        c.points = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        c.killed = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        c.correct = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        c.incorrect = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        c.coldRestarts = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        c.killTears = std::uint32_t(rng.uniformInt(0, 1 << 16));
+        torture.coverage.push_back(c);
+    }
 
     GuestRunResult guest;
     guest.name = randomString(rng, 24);
@@ -199,7 +257,83 @@ randomResponses(Rng &rng)
     error.code = ErrorCode(rng.uniformInt(1, 6));
     error.message = randomString(rng, 64);
 
-    return {ro, dp, dse, torture, guest, lint, error};
+    return {ro, dp, dse, torture, guest, lint, populatedSwarmResult(),
+            error};
+}
+
+/** One canonical payload together with the decoder for its kind. */
+struct Decodable {
+    std::string name;
+    std::vector<std::uint8_t> bytes;
+    std::function<bool(const std::uint8_t *, std::size_t, std::string &)>
+        decode;
+};
+
+/** Every request, every response and every control-plane message. */
+std::vector<Decodable>
+decodables(Rng &rng)
+{
+    std::vector<Decodable> out;
+    for (const Request &req : randomRequests(rng)) {
+        const MsgKind kind = requestKind(req);
+        out.push_back({"request " + std::to_string(unsigned(kind)),
+                       encodeRequestPayload(req),
+                       [kind](const std::uint8_t *d, std::size_t n,
+                              std::string &err) {
+                           Request r;
+                           return decodeRequestPayload(kind, d, n, r,
+                                                       err);
+                       }});
+    }
+    for (const Response &resp : randomResponses(rng)) {
+        const MsgKind kind = responseKind(resp);
+        out.push_back({"response " + std::to_string(unsigned(kind)),
+                       encodeResponsePayload(resp),
+                       [kind](const std::uint8_t *d, std::size_t n,
+                              std::string &err) {
+                           Response r;
+                           return decodeResponsePayload(kind, d, n, r,
+                                                        err);
+                       }});
+    }
+    PingJob ping;
+    ping.nonce = std::uint64_t(rng.uniformInt(0, 1 << 30));
+    out.push_back({"ping", encodePing(ping),
+                   [](const std::uint8_t *d, std::size_t n,
+                      std::string &err) {
+                       PingJob m;
+                       return decodePing(d, n, m, err);
+                   }});
+    PingResult pong;
+    pong.nonce = ping.nonce;
+    pong.queueDepth = 3;
+    pong.cacheEntries = 9;
+    pong.draining = 1;
+    out.push_back({"ping_reply", encodePingResult(pong),
+                   [](const std::uint8_t *d, std::size_t n,
+                      std::string &err) {
+                       PingResult m;
+                       return decodePingResult(d, n, m, err);
+                   }});
+    CacheInsertJob insert;
+    insert.key = std::uint64_t(rng.uniformInt(0, 1 << 30));
+    insert.kind = std::uint16_t(MsgKind::kGuestRunReply);
+    insert.payload = {1, 2, 3, 4, 5};
+    out.push_back({"cache_insert", encodeCacheInsert(insert),
+                   [](const std::uint8_t *d, std::size_t n,
+                      std::string &err) {
+                       CacheInsertJob m;
+                       return decodeCacheInsert(d, n, m, err);
+                   }});
+    CacheInsertResult stored;
+    stored.stored = 1;
+    out.push_back({"cache_insert_reply", encodeCacheInsertResult(stored),
+                   [](const std::uint8_t *d, std::size_t n,
+                      std::string &err) {
+                       CacheInsertResult m;
+                       return decodeCacheInsertResult(d, n, m, err);
+                   }});
+    return out;
 }
 
 TEST(Wire, RequestRoundTripFuzz)
@@ -249,22 +383,28 @@ TEST(Wire, ResponseRoundTripFuzz)
 TEST(Wire, TruncatedPayloadsAreRejectedAtEveryLength)
 {
     Rng rng(7);
-    for (const Request &req : randomRequests(rng)) {
-        const MsgKind kind = requestKind(req);
-        const std::vector<std::uint8_t> bytes =
-            encodeRequestPayload(req);
-        for (std::size_t len = 0; len < bytes.size(); ++len) {
-            Request decoded;
-            std::string err;
-            EXPECT_FALSE(decodeRequestPayload(kind, bytes.data(),
-                                              len, decoded, err))
-                << "prefix " << len << "/" << bytes.size();
+    for (const Decodable &d : decodables(rng)) {
+        std::string err;
+        ASSERT_TRUE(d.decode(d.bytes.data(), d.bytes.size(), err))
+            << d.name << ": " << err;
+        for (std::size_t len = 0; len < d.bytes.size(); ++len) {
+            EXPECT_FALSE(d.decode(d.bytes.data(), len, err))
+                << d.name << " prefix " << len << "/" << d.bytes.size();
         }
     }
 }
 
 TEST(Wire, TrailingBytesAreRejected)
 {
+    Rng rng(8);
+    for (const Decodable &d : decodables(rng)) {
+        std::vector<std::uint8_t> bytes = d.bytes;
+        bytes.push_back(0);
+        std::string err;
+        EXPECT_FALSE(d.decode(bytes.data(), bytes.size(), err))
+            << d.name;
+        EXPECT_FALSE(err.empty()) << d.name;
+    }
     const Request req = RoSweepJob{};
     std::vector<std::uint8_t> bytes = encodeRequestPayload(req);
     bytes.push_back(0);
@@ -520,6 +660,7 @@ goldenPayloads()
     swarm_res.agg.failedCheckpoints = 1;
     swarm_res.agg.flaggedDevices = 2;
     reply("swarm_reply", swarm_res);
+    reply("swarm_reply_populated", populatedSwarmResult());
 
     PingResult pong;
     pong.nonce = ping.nonce;
@@ -652,6 +793,158 @@ const std::map<std::string, std::string> kGoldenHex = {
      "00000000400000002165636e656461630000000040000000656d697464616564"
      "0000000064000000000000005a00000000000000010000000000000002000000"
      "00000000000000000000000000000000000000000000000000000000"},
+    {"swarm_reply_populated",
+     "00000000000000004c04000000000000030000002134000000000000ec5c49ee"
+     "ee7100406a186d6ebfecd04000dd68603443e33f5067e5b60d74344052850000"
+     "00000000a761e06bf260e93fd8fc1612ad5da94000e0b5a0f7c6803f10e00bbe"
+     "60dbf03f133300000000000054dda6fd793e0240aefc46d5a23b044100bcb33a"
+     "7e98e33f70e4ff73bebd30408d34000000000000e9874d748e110040ce46b918"
+     "1861d0406052d97aeb38e33fa0ac67b3e7d638400286000000000000fb1288e5"
+     "5efee83f1ec628666345aa4000e0b5a0f7c6803f80b4467d13eaf03f6d330000"
+     "0000000014ae5934f16a02407ba592ba018004410011ae4370d4e33f2e58a292"
+     "f8ba30408b07000000000000d9a018efb61a014028a7011775f1a14000e03b0e"
+     "44b9e33fb0c5579e1ed72640d0130000000000009088e20c147de93f76319ca1"
+     "dc1a7e4000e0b5a0f7c6803f406fca7936cbf03f6207000000000000b3953f11"
+     "ae600240f4f5dbb504ddd74040a8755a9f4fe53f9ec7499ddac33040feffffff"
+     "0400000008000000300000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000000000000000000000000000ce000000"
+     "00000000a9010000000000002e120000000000007527000000000000301a0000"
+     "00000000960e000000000000ce06000000000000c20200000000000020010000"
+     "000000006a000000000000003100000000000000090000000000000003000000"
+     "0000000002000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000000000000000000000000000fdffffff"
+     "0300000008000000300000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "00000000b800000000000000400000000000000053000000000000006a000000"
+     "00000000a500000000000000cb00000000000000440100000000000096010000"
+     "0000000033020000000000002a03000000000000ab0400000000000049070000"
+     "00000000af11000000000000a80e000000000000d411000000000000e0120000"
+     "00000000526c0000000000007756000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "00000000000000000000000000000000000000000000000000000000feffffff"
+     "0400000008000000300000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000078010000"
+     "00000000e120000000000000f02d000000000000ae1100000000000087000000"
+     "000000000a0000000000000014000000000000001e0000000000000021000000"
+     "000000002f000000000000008f06000000000000490400000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000040000000"
+     "656d69746566696c40000000700200000000000020f93506b126f23fc8000000"
+     "000000002f97239563911240bb0000000000000005a87a7dd030f93f02010000"
+     "0000000010b820c3c9da054019030000000000008eba6b6f42b0fb3faa020000"
+     "00000000fb3e0cbb4b1af93f1401000000000000dd327badd9a20f40d7010000"
+     "000000000c78d491ddb506407e030000000000003bb0f1d374571240fd000000"
+     "000000005ef945916af2f33f9203000000000000cc0b55f4635df63f07010000"
+     "000000001c4cb21f4327044090010000000000006c97c32715cbfe3fa7020000"
+     "0000000087f801533ebe0d40ae00000000000000436ffc633078f13f48000000"
+     "00000000dae603616128fa3f05010000000000003e96f4a8fc9cf63f79010000"
+     "00000000afd09ef53ff203404303000000000000dbf77f1b59bef83fc8030000"
+     "00000000c7f9c470fa7afd3f0e02000000000000cf423263144ef33fdc000000"
+     "00000000a7fd3c3c0008f53f8203000000000000fe328c88b861f63f00020000"
+     "000000007affa2a3e58dfd3f24040000000000008b7d5018f6a20540c3030000"
+     "000000009981b4487ce9054008030000000000001d249548daae08402c010000"
+     "0000000024cafb02a87efe3f5900000000000000dec14a52fa66044020040000"
+     "00000000006df65b365c0040d20100000000000086b93ae86b24084066010000"
+     "000000006fd0dd50b6d114403803000000000000ac4ccc5fc1aaf63f3f010000"
+     "00000000df528b41d45e0740fd0100000000000092ec9839ba4ffd3fce000000"
+     "00000000826ab52eda190c40ec030000000000000d25d650eb300f40d5030000"
+     "00000000a46767d4158ffb3f2d04000000000000127ef023fd93024074000000"
+     "000000007c7a1274887f0740ed00000000000000bac62b6730dbfd3fcf000000"
+     "000000004d5ed105726211401e0400000000000068584f21a9591a409e030000"
+     "00000000b564946287a900402a0100000000000016a9bfcd2484014062000000"
+     "0000000093e470a7aa2e0340b500000000000000f78700bd18030640d2030000"
+     "00000000e39762a7a929f73ff803000000000000bc9dce8d5ed5f63fee030000"
+     "00000000307a72abd77104400c03000000000000bb1058536d4d0640d2020000"
+     "000000004ef4393c708c1340c601000000000000be573850fc9bfb3fbc020000"
+     "000000002833e560f29af53f5b020000000000006811f90c8808f63f27040000"
+     "0000000012a7c340de81f93f5a03000000000000e1d0898230fe3040f6030000"
+     "000000004d8f7ab1257e00402001000000000000a33e5456358ff33f21040000"
+     "00000000aa99ef890f93f73f4d00000000000000784972f27fc9f83f40000000"
+     "0000000010837ad1fdc5f53f1900000000000000b3275ce8ef8e0240b1030000"
+     "000000009fb0d4a62fa0fc3f400000002165636e65646163400000002e010000"
+     "0000000019c0d0a9047fe83fcb000000000000001dc6f917c3a8e93f33020000"
+     "00000000bc02f3988c40f03f030000000000000055b7f70f3d14eb3fff000000"
+     "00000000d1ac57bd6f7cea3f150000000000000098e8c2ab8065e63f9b030000"
+     "000000008d49e3f8adc7ea3f80030000000000002a90ebd95c17d73fe3010000"
+     "00000000512639a2381eea3fe70100000000000000914959fd0bec3fb9020000"
+     "000000008c3314429ebfe93f1e040000000000004ce087de4aa7ed3f68000000"
+     "00000000fbc37a910bf2ea3f2b000000000000005943b7992ab8e93ff9000000"
+     "000000008d4b2f3452d6ea3ffc0000000000000082ff7152d8cbeb3fae030000"
+     "0000000039ea87742481ea3f0b000000000000005a51a082453dea3f0d020000"
+     "000000000fb5f441eb51ec3f7e03000000000000325fa24dbf79ed3f4d000000"
+     "000000002f61e4fdd9c2e83f5d010000000000004e6841ba7428eb3f94030000"
+     "0000000031da94eb3d41e83fc603000000000000cc7aec6dd3edea3f26010000"
+     "000000005ec4fd4e5cebe33fc7020000000000000e1baa0d5722ea3fbd000000"
+     "00000000203b572b6876ec3f15040000000000008b11a112678eec3f21010000"
+     "00000000d0c92debf3a0ec3f960200000000000031206ea93630e73f25040000"
+     "00000000eecbc621d714e63f4d0100000000000076542321e9f5e53f36020000"
+     "0000000022a62f93c066eb3f810300000000000062913e108050ef3f3c040000"
+     "000000002645d2f2c2ffed3fb60300000000000056d20998996beb3fb7010000"
+     "00000000c9dc62158667e23f6b01000000000000f00bb2a605dbe93ffc030000"
+     "0000000066a75a0c8b14e53f480000000000000030829f268a84ea3f9c020000"
+     "0000000051820c1964f0eb3fcf00000000000000e81e80a84422ed3f2d040000"
+     "00000000c39275f01948eb3f4903000000000000486b04c5c54aea3f43020000"
+     "000000005e030861b4c3ed3f4902000000000000b89fb53cf501ec3fb0030000"
+     "00000000bc1093dfa311eb3ff401000000000000d04955a64a76ea3f78010000"
+     "000000001be4a165bc25e83fef01000000000000e6a72e1ca72ce93fc0000000"
+     "00000000bbac9fdb9764d63f9200000000000000198c6a00b0f8ea3f2e040000"
+     "00000000756ceb2e7e72eb3fb801000000000000e510d5530cb9ef3f88010000"
+     "0000000055804d028339ed3f3404000000000000e769d3473a52e83ffe020000"
+     "00000000dfe9c9b8fe1bed3f4a0100000000000081fea265671fe43fd3020000"
+     "000000000d2a5a9ae67cea3fab02000000000000676d312e2f5fea3f3e010000"
+     "00000000b34dbbb63d1fed3f4301000000000000b2bfec0c1ddee83f13030000"
+     "000000003c0982035dabe93f480100000000000050b65ecc7ad1e53f40000000"
+     "656d69746461656440000000ca0300000000000041e1db29198305404e010000"
+     "00000000e07c2d18c959ff3ffe0000000000000050a6f01869590640ba020000"
+     "00000000ad1f1edb024701400c04000000000000c2c127aa11670540ae020000"
+     "000000003d41d30c8285fe3f8e02000000000000da85145b17500340ed030000"
+     "0000000048bbed501de70540a20300000000000076dd89e8ea470f4004040000"
+     "000000007fe610314a200340c4010000000000008b15cc28b3affa3f04020000"
+     "0000000001c04642dcc1ff3f6903000000000000d68ddcf63e47024070000000"
+     "0000000099daaf1a4df6fb3ffd00000000000000aa2543d953480140f4000000"
+     "000000008b3d95b90251fe3fdf0000000000000019f7df872d81fd3f70030000"
+     "000000004f37e011332107400e00000000000000085d3afd3e2c0140eb020000"
+     "000000004b87a8cfd62603406800000000000000d21d1bd69e9c004048030000"
+     "0000000083b9d80c5c500140cb0100000000000054e752fa7d7f0540c6020000"
+     "00000000bcc6baa378bb01406f030000000000001f3379e34f2f00402e030000"
+     "00000000ae169445a5a2fb3f5b03000000000000e94e61521d8c074095020000"
+     "0000000067094245eaa1fa3f2802000000000000df51336d3b9d0040a4010000"
+     "00000000eedca1d172b107406202000000000000e25ecc55f820f93fc7010000"
+     "00000000bcfed01213f60040c60100000000000075a27f59875401400f030000"
+     "000000003d08a263d48c0640e10000000000000071ac1bf17d210840e5030000"
+     "000000009503b7a85bb30040d900000000000000f7c531b3512efd3fcc020000"
+     "0000000092345cc654b2044001020000000000004faea47933ad064042000000"
+     "00000000613879f8f5b400402c020000000000002bb34c849838024082030000"
+     "00000000527102f4ac1506404504000000000000a79b4be45e74044067000000"
+     "0000000013b105f962850840fe030000000000001d8fe08f16620140a5020000"
+     "000000006475386f29f302404f03000000000000519f2631419f0040f2030000"
+     "00000000c1aef2a53ad10840e3030000000000000f3aa1595d850340e7030000"
+     "000000008733415c722003408903000000000000c4505caacbda07407f000000"
+     "0000000025eeca4858170140a902000000000000fa32937001c5034009030000"
+     "00000000fec574ff8cf1fc3f10020000000000009a968ccd956a0a40b6010000"
+     "0000000076d173479f9700401f00000000000000dc23dd41427cfb3f85030000"
+     "000000002e44ff8721920440ea00000000000000d4f60d119babfb3f06040000"
+     "000000003f532bca80e700406203000000000000f6f469cf6f9604402b020000"
+     "000000005ee296acca5ff93fa00100000000000061f20ac7b596004094020000"
+     "00000000690c8c9e541605402e72000000000000241f01000000000007070000"
+     "000000000c0000000000000012000000000000000c0000000000000000000000"
+     "00000000"},
     {"ping_reply",
      "efcdab896745230105000000110000000000000001"},
     {"cache_insert_reply",
@@ -678,6 +971,14 @@ TEST(Wire, V3PayloadBytesAreFrozen)
               interp.substr(0, interp.size() - 2));
     EXPECT_EQ(dbt.substr(dbt.size() - 2), "01");
     EXPECT_EQ(interp.substr(interp.size() - 2), "00");
+    // The populated swarm entry pins Welford, bucket and reservoir
+    // bytes, which the empty swarm_reply entry does not.
+    const swarm::SwarmAggregates &agg = populatedSwarmResult().agg;
+    EXPECT_GE(agg.blocks.size(), 2u);
+    EXPECT_GT(agg.lifetimeHist.total(), 0u);
+    EXPECT_GT(agg.cadenceHist.total(), 0u);
+    EXPECT_FALSE(agg.lifetimeSample.sorted().empty());
+    EXPECT_FALSE(agg.deadSample.sorted().empty());
 }
 
 // --- result cache ----------------------------------------------------
