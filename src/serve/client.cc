@@ -183,14 +183,14 @@ Client::ping(PingResult &out, std::string &err)
     Frame reply;
     PingJob job;
     job.nonce = 0x50494e47u ^ std::uint64_t(::getpid());
-    if (!call(MsgKind::kPing, encodePing(job), reply, err))
+    if (!call(MsgKind::kPing, encodeControl(job), reply, err))
         return false;
     if (reply.kind != MsgKind::kPingReply) {
         err = "unexpected ping reply kind";
         return false;
     }
-    if (!decodePingResult(reply.payload.data(), reply.payload.size(),
-                          out, err))
+    if (!decodeControl(reply.payload.data(), reply.payload.size(), out,
+                       err))
         return false;
     if (out.nonce != job.nonce) {
         err = "ping nonce mismatch";
@@ -204,16 +204,15 @@ Client::cacheInsert(const CacheInsertJob &job, bool &stored,
                     std::string &err)
 {
     Frame reply;
-    if (!call(MsgKind::kCacheInsert, encodeCacheInsert(job), reply,
-              err))
+    if (!call(MsgKind::kCacheInsert, encodeControl(job), reply, err))
         return false;
     if (reply.kind != MsgKind::kCacheInsertReply) {
         err = "unexpected cache-insert reply kind";
         return false;
     }
     CacheInsertResult res;
-    if (!decodeCacheInsertResult(reply.payload.data(),
-                                 reply.payload.size(), res, err))
+    if (!decodeControl(reply.payload.data(), reply.payload.size(), res,
+                       err))
         return false;
     stored = res.stored != 0;
     return true;
@@ -268,8 +267,7 @@ exploreDesignSpaceServed(const circuit::Technology &tech,
                 std::vector<dse::FsParetoPoint> front;
                 front.reserve(shard->front.size());
                 for (const DsePointWire &p : shard->front)
-                    front.push_back(
-                        {fromWire(p.config), fromWire(p.perf)});
+                    front.push_back({fromWire(p.config), p.perf});
                 return front;
             }
         }

@@ -168,10 +168,10 @@ Engine::executeDesignPoint(const DesignPointJob &job) const
         // rejection filter would.
         core::Performance perf;
         perf.rejectReason = violation;
-        return DesignPointResult{toWire(perf)};
+        return DesignPointResult{perf};
     }
     const core::PerformanceModel model(*tech);
-    return DesignPointResult{toWire(model.evaluate(cfg))};
+    return DesignPointResult{model.evaluate(cfg)};
 }
 
 Response
@@ -196,7 +196,7 @@ Engine::executeDseShard(const DseShardJob &job) const
     DseShardResult res;
     res.front.reserve(front.size());
     for (const dse::FsParetoPoint &p : front)
-        res.front.push_back({toWire(p.config), toWire(p.perf)});
+        res.front.push_back({toWire(p.config), p.perf});
     return res;
 }
 
@@ -376,7 +376,7 @@ Engine::executeGuestRun(const GuestRunJob &job) const
     bus.attach("fram", layout.framBase, fram);
     bus.attach("sram", layout.sramBase, sram);
     riscv::Hart hart(bus);
-    if (job.traceCache == 0)
+    if (job.allowDbt == 0)
         hart.setDbtEnabled(false); // interpreter only
 
     riscv::Assembler as(layout.framBase);

@@ -418,8 +418,8 @@ Server::answerControl(const std::shared_ptr<Conn> &conn,
     std::string err;
     if (frame.kind == MsgKind::kPing) {
         PingJob ping;
-        if (!decodePing(frame.payload.data(), frame.payload.size(),
-                        ping, err)) {
+        if (!decodeControl(frame.payload.data(), frame.payload.size(),
+                           ping, err)) {
             sendError(*conn, ErrorCode::kBadRequest, err);
             return;
         }
@@ -432,12 +432,12 @@ Server::answerControl(const std::shared_ptr<Conn> &conn,
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.pings;
         }
-        sendReply(*conn, MsgKind::kPingReply, encodePingResult(res));
+        sendReply(*conn, MsgKind::kPingReply, encodeControl(res));
         return;
     }
     CacheInsertJob ins;
-    if (!decodeCacheInsert(frame.payload.data(), frame.payload.size(),
-                           ins, err)) {
+    if (!decodeControl(frame.payload.data(), frame.payload.size(), ins,
+                       err)) {
         sendError(*conn, ErrorCode::kBadRequest, err);
         return;
     }
@@ -457,8 +457,7 @@ Server::answerControl(const std::shared_ptr<Conn> &conn,
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.cacheInserts;
     }
-    sendReply(*conn, MsgKind::kCacheInsertReply,
-              encodeCacheInsertResult(res));
+    sendReply(*conn, MsgKind::kCacheInsertReply, encodeControl(res));
 }
 
 bool

@@ -2,136 +2,119 @@
 
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <type_traits>
+#include <utility>
 
 namespace fs {
 namespace serve {
 
 namespace {
 
-/** Little-endian canonical byte writer. */
-class ByteWriter
+static_assert(sizeof(std::size_t) == 8, "size_t fields travel as u64");
+
+/**
+ * Encoding archive: appends each value's canonical bytes. A struct goes
+ * through its fields() list, which takes a mutable reference so that
+ * one list serves both archives; the writer only reads through it.
+ */
+class Writer
 {
   public:
-    explicit ByteWriter(std::vector<std::uint8_t> &out) : out_(out) {}
+    explicit Writer(std::vector<std::uint8_t> &out) : out_(out) {}
 
+    template <class... Ts>
     void
-    u8(std::uint8_t v)
+    operator()(const Ts &...vs)
     {
-        out_.push_back(v);
-    }
-
-    void
-    u16(std::uint16_t v)
-    {
-        out_.push_back(std::uint8_t(v & 0xff));
-        out_.push_back(std::uint8_t(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(std::uint8_t(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(std::uint8_t(v >> (8 * i)));
-    }
-
-    /** IEEE-754 bits, so the value round-trips exactly. */
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<std::uint64_t>(v));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u32(std::uint32_t(s.size()));
-        out_.insert(out_.end(), s.begin(), s.end());
+        (put(vs), ...);
     }
 
   private:
+    template <class T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            put(std::underlying_type_t<T>(v));
+        } else if constexpr (std::is_same_v<T, bool>) {
+            put(std::uint8_t(v ? 1 : 0));
+        } else if constexpr (std::is_same_v<T, double>) {
+            put(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_integral_v<T>) {
+            std::uint8_t le[sizeof(T)] = {};
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                le[i] = std::uint8_t(v >> (8 * i));
+            out_.insert(out_.end(), le, le + sizeof(T));
+        } else if constexpr (requires { v.size(); v.data(); }) {
+            // std::string or std::vector: a u32 count, then elements.
+            put(std::uint32_t(v.size()));
+            if constexpr (sizeof(typename T::value_type) == 1)
+                out_.insert(out_.end(), v.begin(), v.end());
+            else
+                for (const auto &e : v)
+                    put(e);
+        } else if constexpr (requires { save(*this, v); }) {
+            save(*this, v);
+        } else {
+            fields(*this, const_cast<T &>(v));
+        }
+    }
+
     std::vector<std::uint8_t> &out_;
 };
 
-/** Bounds-checked little-endian reader; sticky failure flag. */
-class ByteReader
+/**
+ * Encoded size of a value-initialised T. Every vector element type on
+ * the wire defaults to empty strings and vectors, so this is the
+ * fewest bytes one element can occupy.
+ */
+template <class T>
+std::size_t
+minWireSize()
+{
+    static const std::size_t size = [] {
+        std::vector<std::uint8_t> bytes;
+        Writer w(bytes);
+        w(T{});
+        return bytes.size();
+    }();
+    return size;
+}
+
+/**
+ * Decoding archive: bounds-checked, with a sticky failure flag. Once a
+ * read fails every later read is a no-op, so a fields() list runs to
+ * its end unchecked and the caller tests ok() once.
+ */
+class Reader
 {
   public:
-    ByteReader(const std::uint8_t *data, std::size_t len)
+    Reader(const std::uint8_t *data, std::size_t len)
         : data_(data), len_(len)
     {
     }
 
     bool ok() const { return ok_; }
     bool atEnd() const { return pos_ == len_; }
+    /** Why decoding failed; null for truncation. */
+    const char *reason() const { return reason_; }
 
-    std::uint8_t
-    u8()
+    /** Fail for a reason other than truncation (the first one sticks). */
+    void
+    fail(const char *why)
     {
-        if (!need(1))
-            return 0;
-        return data_[pos_++];
+        if (ok_)
+            reason_ = why;
+        ok_ = false;
     }
 
-    std::uint16_t
-    u16()
+    template <class... Ts>
+    void
+    operator()(Ts &...vs)
     {
-        if (!need(2))
-            return 0;
-        std::uint16_t v = std::uint16_t(data_[pos_] |
-                                        (data_[pos_ + 1] << 8));
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(data_[pos_ + std::size_t(i)]) <<
-                 (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(data_[pos_ + std::size_t(i)]) <<
-                 (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (!need(n))
-            return {};
-        std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-        pos_ += n;
-        return s;
+        (get(vs), ...);
     }
 
   private:
@@ -145,362 +128,469 @@ class ByteReader
         return true;
     }
 
+    template <class T>
+    void
+    get(T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw = 0;
+            get(raw);
+            v = T(raw);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            std::uint8_t raw = 0;
+            get(raw);
+            if (raw > 1)
+                fail("bool field holds a byte other than 0 or 1");
+            v = raw != 0;
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits = 0;
+            get(bits);
+            v = std::bit_cast<double>(bits);
+        } else if constexpr (std::is_integral_v<T>) {
+            if (!need(sizeof(T)))
+                return;
+            v = 0;
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                v = T(v | T(T(data_[pos_ + i]) << (8 * i)));
+            pos_ += sizeof(T);
+        } else if constexpr (requires { v.size(); v.data(); }) {
+            using E = typename T::value_type;
+            std::uint32_t n = 0;
+            get(n);
+            // Refuse a count the remaining bytes cannot hold before
+            // allocating anything for it.
+            if (!need(std::size_t(n) * minWireSize<E>()))
+                return;
+            if constexpr (sizeof(E) == 1) {
+                v.assign(data_ + pos_, data_ + pos_ + n);
+                pos_ += n;
+            } else {
+                v.clear();
+                v.reserve(n);
+                for (std::uint32_t i = 0; ok_ && i < n; ++i)
+                    get(v.emplace_back());
+            }
+        } else if constexpr (requires { load(*this, v); }) {
+            load(*this, v);
+        } else {
+            fields(*this, v);
+        }
+    }
+
     const std::uint8_t *data_;
     std::size_t len_;
     std::size_t pos_ = 0;
     bool ok_ = true;
+    const char *reason_ = nullptr;
 };
 
-// --- per-struct codecs (field order is the wire contract) ------------
+// --- field lists (listed order is wire order) ------------------------
+
+template <class Ar>
+void
+fields(Ar &ar, WorkloadSpec &v)
+{
+    ar(v.kind, v.a, v.b, v.seed);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, ConfigWire &v)
+{
+    ar(v.roStages, v.sampleRate, v.counterBits, v.enableTime,
+       v.nvmEntries, v.entryBits, v.dividerTap, v.dividerTotal,
+       v.strategy);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, core::Performance &v)
+{
+    ar(v.realizable, v.rejectReason, v.meanCurrent, v.sampleRate,
+       v.granularity, v.nvmBytes, v.transistors, v.quantizationError,
+       v.thermalError, v.interpolationError);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, RoSweepJob &v)
+{
+    ar(v.tech, v.stages, v.cell, v.speed, v.tempC, v.vStart, v.vEnd,
+       v.vStep);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, RoSweepResult &v)
+{
+    ar(v.frequenciesHz);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, DesignPointJob &v)
+{
+    ar(v.tech, v.config);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, DesignPointResult &v)
+{
+    ar(v.perf);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, DseShardJob &v)
+{
+    ar(v.tech, v.populationSize, v.generations, v.seed, v.fixedRate,
+       v.exploreDivider);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, DsePointWire &v)
+{
+    ar(v.config, v.perf);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, DseShardResult &v)
+{
+    ar(v.front);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, TortureJob &v)
+{
+    ar(v.workload, v.sramSize, v.stableCycles, v.lowCycles, v.seed,
+       v.killsPerWindow, v.randomKills, v.exhaustivePoints,
+       v.pointOffset, v.pointCount, v.coverageMap);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, TortureCoverageWire &v)
+{
+    ar(v.addr, v.cls, v.rank, v.points, v.killed, v.correct,
+       v.incorrect, v.coldRestarts, v.killTears);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, TortureResult &v)
+{
+    ar(v.cleanCycles, v.checkpoints, v.checkpointVolts, v.points,
+       v.killed, v.killTears, v.coldRestarts, v.tornRestores, v.correct,
+       v.incorrect, v.outcomeFlags, v.results, v.coverage);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, GuestRunJob &v)
+{
+    ar(v.workload, v.allowDbt);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, GuestRunResult &v)
+{
+    ar(v.name, v.result, v.expected, v.correct, v.instructions);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, LintImageJob &v)
+{
+    ar(v.name, v.code, v.emitPruning);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, LintImageResult &v)
+{
+    ar(v.image, v.errors, v.warnings, v.notes, v.worstCaseCommitCycles,
+       v.budgetCycles, v.staticEnergyBound, v.energyBudgetJoules,
+       v.reportJson, v.pruningJson);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, SwarmJob &v)
+{
+    ar(v.deviceCount, v.firstDevice, v.spanDevices, v.seed, v.profile,
+       v.traceSeconds, v.segmentSeconds, v.ckptPeriodS, v.zThreshold,
+       v.warmup, v.tripsToFlag, v.anomalyEvery, v.anomalyFactor,
+       v.traceCsv);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, swarm::BlockStats &v)
+{
+    ar(v.lifetime, v.cadence, v.dead);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, swarm::SwarmAggregates &v)
+{
+    ar(v.firstBlock, v.deviceCount, v.blocks, v.lifetimeHist,
+       v.cadenceHist, v.deadHist, v.lifetimeSample, v.cadenceSample,
+       v.deadSample, v.boots, v.checkpoints, v.failedCheckpoints,
+       v.flaggedDevices, v.cohortDevices, v.flaggedInCohort,
+       v.neverBooted);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, SwarmResult &v)
+{
+    ar(v.agg);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, ErrorResult &v)
+{
+    ar(v.code, v.message);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, PingJob &v)
+{
+    ar(v.nonce);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, PingResult &v)
+{
+    ar(v.nonce, v.queueDepth, v.cacheEntries, v.draining);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, CacheInsertJob &v)
+{
+    ar(v.key, v.kind, v.payload);
+}
+
+template <class Ar>
+void
+fields(Ar &ar, CacheInsertResult &v)
+{
+    ar(v.stored);
+}
+
+// --- swarm sketches: private state, receiver-checked geometry --------
 
 void
-put(ByteWriter &w, const WorkloadSpec &v)
+save(Writer &w, const RunningStats &s)
 {
-    w.u8(std::uint8_t(v.kind));
-    w.u32(v.a);
-    w.u32(v.b);
-    w.u64(v.seed);
-}
-
-WorkloadSpec
-getWorkload(ByteReader &r)
-{
-    WorkloadSpec v;
-    v.kind = WorkloadSpec::Kind(r.u8());
-    v.a = r.u32();
-    v.b = r.u32();
-    v.seed = r.u64();
-    return v;
+    w(std::uint64_t(s.count()), s.mean(), s.m2(), s.rawMin(), s.rawMax());
 }
 
 void
-put(ByteWriter &w, const ConfigWire &v)
+load(Reader &r, RunningStats &s)
 {
-    w.u64(v.roStages);
-    w.f64(v.sampleRate);
-    w.u64(v.counterBits);
-    w.f64(v.enableTime);
-    w.u64(v.nvmEntries);
-    w.u64(v.entryBits);
-    w.u64(v.dividerTap);
-    w.u64(v.dividerTotal);
-    w.u8(v.strategy);
-}
-
-ConfigWire
-getConfig(ByteReader &r)
-{
-    ConfigWire v;
-    v.roStages = r.u64();
-    v.sampleRate = r.f64();
-    v.counterBits = r.u64();
-    v.enableTime = r.f64();
-    v.nvmEntries = r.u64();
-    v.entryBits = r.u64();
-    v.dividerTap = r.u64();
-    v.dividerTotal = r.u64();
-    v.strategy = r.u8();
-    return v;
+    std::uint64_t n = 0;
+    double mean = 0.0;
+    double m2 = 0.0;
+    double mn = 0.0;
+    double mx = 0.0;
+    r(n, mean, m2, mn, mx);
+    s = RunningStats::fromMoments(std::size_t(n), mean, m2, mn, mx);
 }
 
 void
-put(ByteWriter &w, const PerformanceWire &v)
+save(Writer &w, const LogHistogram &h)
 {
-    w.u8(v.realizable);
-    w.str(v.rejectReason);
-    w.f64(v.meanCurrent);
-    w.f64(v.sampleRate);
-    w.f64(v.granularity);
-    w.u64(v.nvmBytes);
-    w.u64(v.transistors);
-    w.f64(v.quantizationError);
-    w.f64(v.thermalError);
-    w.f64(v.interpolationError);
-}
-
-PerformanceWire
-getPerformance(ByteReader &r)
-{
-    PerformanceWire v;
-    v.realizable = r.u8();
-    v.rejectReason = r.str();
-    v.meanCurrent = r.f64();
-    v.sampleRate = r.f64();
-    v.granularity = r.f64();
-    v.nvmBytes = r.u64();
-    v.transistors = r.u64();
-    v.quantizationError = r.f64();
-    v.thermalError = r.f64();
-    v.interpolationError = r.f64();
-    return v;
-}
-
-// --- swarm aggregate transport ---------------------------------------
-
-void
-put(ByteWriter &w, const RunningStats &s)
-{
-    w.u64(std::uint64_t(s.count()));
-    w.f64(s.count() ? s.mean() : 0.0);
-    w.f64(s.m2());
-    w.f64(s.rawMin());
-    w.f64(s.rawMax());
-}
-
-RunningStats
-getRunningStats(ByteReader &r)
-{
-    const std::uint64_t n = r.u64();
-    const double mean = r.f64();
-    const double m2 = r.f64();
-    const double mn = r.f64();
-    const double mx = r.f64();
-    return RunningStats::fromMoments(std::size_t(n), mean, m2, mn, mx);
-}
-
-void
-put(ByteWriter &w, const LogHistogram &h)
-{
-    w.u32(std::uint32_t(std::int32_t(h.minExp())));
-    w.u32(std::uint32_t(std::int32_t(h.maxExp())));
-    w.u32(std::uint32_t(h.bucketsPerDecade()));
-    w.u32(std::uint32_t(h.buckets()));
+    w(std::uint32_t(std::int32_t(h.minExp())),
+      std::uint32_t(std::int32_t(h.maxExp())),
+      std::uint32_t(h.bucketsPerDecade()), std::uint32_t(h.buckets()));
     for (std::size_t b = 0; b < h.buckets(); ++b)
-        w.u64(h.countAt(b));
-    w.u64(h.underflow());
-    w.u64(h.overflow());
+        w(h.countAt(b));
+    w(h.underflow(), h.overflow());
 }
 
 /** Decode into `h`, whose geometry is authoritative (reject others). */
-bool
-getLogHistogram(ByteReader &r, LogHistogram &h, std::string &err)
+void
+load(Reader &r, LogHistogram &h)
 {
-    const auto min_exp = std::int32_t(r.u32());
-    const auto max_exp = std::int32_t(r.u32());
-    const std::uint32_t per_decade = r.u32();
-    const std::uint32_t buckets = r.u32();
-    if (!r.ok())
-        return false;
-    if (min_exp != h.minExp() || max_exp != h.maxExp() ||
-        per_decade != h.bucketsPerDecade() || buckets != h.buckets()) {
-        err = "swarm histogram geometry mismatch";
-        return false;
-    }
+    std::uint32_t min_exp = 0;
+    std::uint32_t max_exp = 0;
+    std::uint32_t per_decade = 0;
+    std::uint32_t buckets = 0;
+    r(min_exp, max_exp, per_decade, buckets);
+    if (r.ok() && (std::int32_t(min_exp) != h.minExp() ||
+                   std::int32_t(max_exp) != h.maxExp() ||
+                   per_decade != h.bucketsPerDecade() ||
+                   buckets != h.buckets()))
+        r.fail("swarm histogram geometry mismatch");
     for (std::uint32_t b = 0; r.ok() && b < buckets; ++b) {
-        const std::uint64_t n = r.u64();
+        std::uint64_t n = 0;
+        r(n);
         if (n != 0)
             h.addToBucket(b, n);
     }
-    h.addUnderflow(r.u64());
-    h.addOverflow(r.u64());
-    return r.ok();
+    std::uint64_t underflow = 0;
+    std::uint64_t overflow = 0;
+    r(underflow, overflow);
+    h.addUnderflow(underflow);
+    h.addOverflow(overflow);
 }
 
 void
-put(ByteWriter &w, const ReservoirSample &s)
+save(Writer &w, const ReservoirSample &s)
 {
-    w.u32(std::uint32_t(s.k()));
-    w.u64(s.seed());
     const std::vector<ReservoirSample::Entry> entries = s.sorted();
-    w.u32(std::uint32_t(entries.size()));
+    w(std::uint32_t(s.k()), s.seed(), std::uint32_t(entries.size()));
     // Priorities are a pure function of (seed, tag); the decoder
     // recomputes them, so only (tag, value) travels.
-    for (const ReservoirSample::Entry &e : entries) {
-        w.u64(e.tag);
-        w.f64(e.value);
-    }
+    for (const ReservoirSample::Entry &e : entries)
+        w(e.tag, e.value);
 }
 
-bool
-getReservoirSample(ByteReader &r, ReservoirSample &s, std::string &err)
+/** Decode into `s`, whose k and seed are authoritative. */
+void
+load(Reader &r, ReservoirSample &s)
 {
-    const std::uint32_t k = r.u32();
-    const std::uint64_t seed = r.u64();
-    const std::uint32_t n = r.u32();
-    if (!r.ok())
-        return false;
-    if (k != s.k() || seed != s.seed() || n > k) {
-        err = "swarm reservoir parameters mismatch";
-        return false;
-    }
+    std::uint32_t k = 0;
+    std::uint64_t seed = 0;
+    std::uint32_t n = 0;
+    r(k, seed, n);
+    if (r.ok() && (k != s.k() || seed != s.seed() || n > k))
+        r.fail("swarm reservoir parameters mismatch");
     for (std::uint32_t i = 0; r.ok() && i < n; ++i) {
-        const std::uint64_t tag = r.u64();
-        const double value = r.f64();
+        std::uint64_t tag = 0;
+        double value = 0.0;
+        r(tag, value);
         s.add(tag, value);
     }
-    return r.ok();
 }
 
+/** The block count must match the device span exactly. */
 void
-put(ByteWriter &w, const swarm::SwarmAggregates &a)
+load(Reader &r, swarm::SwarmAggregates &a)
 {
-    w.u64(a.firstBlock);
-    w.u64(a.deviceCount);
-    w.u32(std::uint32_t(a.blocks.size()));
-    for (const swarm::BlockStats &b : a.blocks) {
-        put(w, b.lifetime);
-        put(w, b.cadence);
-        put(w, b.dead);
-    }
-    put(w, a.lifetimeHist);
-    put(w, a.cadenceHist);
-    put(w, a.deadHist);
-    put(w, a.lifetimeSample);
-    put(w, a.cadenceSample);
-    put(w, a.deadSample);
-    w.u64(a.boots);
-    w.u64(a.checkpoints);
-    w.u64(a.failedCheckpoints);
-    w.u64(a.flaggedDevices);
-    w.u64(a.cohortDevices);
-    w.u64(a.flaggedInCohort);
-    w.u64(a.neverBooted);
-}
-
-bool
-getSwarmAggregates(ByteReader &r, swarm::SwarmAggregates &a,
-                   std::string &err)
-{
-    a.firstBlock = r.u64();
-    a.deviceCount = r.u64();
-    const std::uint32_t block_count = r.u32();
-    if (!r.ok())
-        return false;
-    // Block count must match the device span exactly.
+    fields(r, a);
     const std::uint64_t expected =
         (a.deviceCount + swarm::kSwarmBlock - 1) / swarm::kSwarmBlock;
-    if (block_count != expected) {
-        err = "swarm block count does not match device count";
+    if (r.ok() && a.blocks.size() != expected)
+        r.fail("swarm block count does not match device count");
+}
+
+// --- payload entry points --------------------------------------------
+
+/**
+ * Request kind -> reply kind. Rows follow the Response alternatives
+ * (Request lacks only the trailing ErrorResult); the control-plane
+ * kinds come last.
+ */
+constexpr std::pair<MsgKind, MsgKind> kKinds[] = {
+    {MsgKind::kRoSweep, MsgKind::kRoSweepReply},
+    {MsgKind::kDesignPoint, MsgKind::kDesignPointReply},
+    {MsgKind::kDseShard, MsgKind::kDseShardReply},
+    {MsgKind::kTorture, MsgKind::kTortureReply},
+    {MsgKind::kGuestRun, MsgKind::kGuestRunReply},
+    {MsgKind::kLintImage, MsgKind::kLintImageReply},
+    {MsgKind::kSwarm, MsgKind::kSwarmReply},
+    {MsgKind::kErrorReply, MsgKind::kErrorReply},
+    {MsgKind::kPing, MsgKind::kPingReply},
+    {MsgKind::kCacheInsert, MsgKind::kCacheInsertReply},
+};
+constexpr std::size_t kRequestKinds = std::variant_size_v<Request>;
+using LastResponse = std::variant_alternative_t<kRequestKinds, Response>;
+static_assert(std::size(kKinds) == kRequestKinds + 3);
+static_assert(std::variant_size_v<Response> == kRequestKinds + 1 &&
+              std::is_same_v<LastResponse, ErrorResult>);
+
+/** Row of `kind` in one column of kKinds' first `rows` rows, or `rows`. */
+std::size_t
+kindRow(MsgKind kind, bool reply, std::size_t rows)
+{
+    std::size_t i = 0;
+    while (i < rows && (reply ? kKinds[i].second : kKinds[i].first) != kind)
+        ++i;
+    return i;
+}
+
+template <class T>
+std::vector<std::uint8_t>
+encode(const T &v)
+{
+    std::vector<std::uint8_t> bytes;
+    Writer w(bytes);
+    w(v);
+    return bytes;
+}
+
+/** Report a failed or partial decode of one whole payload. */
+bool
+finish(const Reader &r, const char *what, std::string &err)
+{
+    if (!r.ok())
+        err = r.reason() ? std::string(r.reason())
+                         : "truncated " + std::string(what) + " payload";
+    else if (!r.atEnd())
+        err = "trailing bytes after " + std::string(what) + " payload";
+    return r.ok() && r.atEnd();
+}
+
+template <class Variant, std::size_t... I>
+void
+readAlternative(Reader &r, std::size_t index, Variant &out,
+                std::index_sequence<I...>)
+{
+    ((index == I ? r(out.template emplace<I>()) : void()), ...);
+}
+
+template <class Variant>
+bool
+decodePayload(MsgKind kind, const std::uint8_t *data, std::size_t len,
+              Variant &out, std::string &err)
+{
+    constexpr bool reply = std::is_same_v<Variant, Response>;
+    const char *what = reply ? "response" : "request";
+    constexpr std::size_t rows = std::variant_size_v<Variant>;
+    const std::size_t row = kindRow(kind, reply, rows);
+    if (row == rows) {
+        err = "unknown " + std::string(what) + " kind " +
+              std::to_string(unsigned(kind));
         return false;
     }
-    a.blocks.reserve(block_count);
-    for (std::uint32_t i = 0; r.ok() && i < block_count; ++i) {
-        swarm::BlockStats b;
-        b.lifetime = getRunningStats(r);
-        b.cadence = getRunningStats(r);
-        b.dead = getRunningStats(r);
-        a.blocks.push_back(b);
-    }
-    if (!getLogHistogram(r, a.lifetimeHist, err) ||
-        !getLogHistogram(r, a.cadenceHist, err) ||
-        !getLogHistogram(r, a.deadHist, err) ||
-        !getReservoirSample(r, a.lifetimeSample, err) ||
-        !getReservoirSample(r, a.cadenceSample, err) ||
-        !getReservoirSample(r, a.deadSample, err))
-        return false;
-    a.boots = r.u64();
-    a.checkpoints = r.u64();
-    a.failedCheckpoints = r.u64();
-    a.flaggedDevices = r.u64();
-    a.cohortDevices = r.u64();
-    a.flaggedInCohort = r.u64();
-    a.neverBooted = r.u64();
-    return r.ok();
+    Reader r(data, len);
+    readAlternative(r, row, out, std::make_index_sequence<rows>());
+    return finish(r, what, err);
 }
 
 } // namespace
 
-bool
-mergeSwarmResult(SwarmResult &into, const SwarmResult &shard,
-                 std::string &err)
-{
-    // swarm::mergeAggregates validates before mutating, so a failure
-    // leaves the accumulator intact.
-    const std::string reason =
-        swarm::mergeAggregates(&into.agg, shard.agg);
-    if (!reason.empty()) {
-        err = reason;
-        return false;
-    }
-    return true;
-}
-
-SwarmJob
-toWire(const swarm::SwarmConfig &cfg)
-{
-    SwarmJob w;
-    w.deviceCount = cfg.deviceCount;
-    w.firstDevice = cfg.firstDevice;
-    w.spanDevices = cfg.spanDevices;
-    w.seed = cfg.seed;
-    w.profile = std::uint32_t(cfg.profile);
-    w.traceSeconds = cfg.traceSeconds;
-    w.segmentSeconds = cfg.segmentSeconds;
-    w.ckptPeriodS = cfg.ckptPeriodS;
-    w.zThreshold = cfg.zThreshold;
-    w.warmup = cfg.warmup;
-    w.tripsToFlag = cfg.tripsToFlag;
-    w.anomalyEvery = cfg.anomalyEvery;
-    w.anomalyFactor = cfg.anomalyFactor;
-    w.traceCsv = cfg.traceCsv;
-    return w;
-}
-
-swarm::SwarmConfig
-fromWire(const SwarmJob &w)
-{
-    swarm::SwarmConfig cfg;
-    cfg.deviceCount = w.deviceCount;
-    cfg.firstDevice = w.firstDevice;
-    cfg.spanDevices = w.spanDevices;
-    cfg.seed = w.seed;
-    cfg.profile = swarm::HarvestProfile(w.profile);
-    cfg.traceSeconds = w.traceSeconds;
-    cfg.segmentSeconds = w.segmentSeconds;
-    cfg.ckptPeriodS = w.ckptPeriodS;
-    cfg.zThreshold = w.zThreshold;
-    cfg.warmup = w.warmup;
-    cfg.tripsToFlag = w.tripsToFlag;
-    cfg.anomalyEvery = w.anomalyEvery;
-    cfg.anomalyFactor = w.anomalyFactor;
-    cfg.traceCsv = w.traceCsv;
-    return cfg;
-}
-
 MsgKind
 requestKind(const Request &req)
 {
-    switch (req.index()) {
-      case 0: return MsgKind::kRoSweep;
-      case 1: return MsgKind::kDesignPoint;
-      case 2: return MsgKind::kDseShard;
-      case 3: return MsgKind::kTorture;
-      case 4: return MsgKind::kGuestRun;
-      case 5: return MsgKind::kLintImage;
-      default: return MsgKind::kSwarm;
-    }
+    return kKinds[req.index()].first;
 }
 
 MsgKind
 responseKind(const Response &resp)
 {
-    switch (resp.index()) {
-      case 0: return MsgKind::kRoSweepReply;
-      case 1: return MsgKind::kDesignPointReply;
-      case 2: return MsgKind::kDseShardReply;
-      case 3: return MsgKind::kTortureReply;
-      case 4: return MsgKind::kGuestRunReply;
-      case 5: return MsgKind::kLintImageReply;
-      case 6: return MsgKind::kSwarmReply;
-      default: return MsgKind::kErrorReply;
-    }
+    return kKinds[resp.index()].second;
 }
 
 MsgKind
 replyKindFor(MsgKind request_kind)
 {
-    switch (request_kind) {
-      case MsgKind::kRoSweep: return MsgKind::kRoSweepReply;
-      case MsgKind::kDesignPoint: return MsgKind::kDesignPointReply;
-      case MsgKind::kDseShard: return MsgKind::kDseShardReply;
-      case MsgKind::kTorture: return MsgKind::kTortureReply;
-      case MsgKind::kGuestRun: return MsgKind::kGuestRunReply;
-      case MsgKind::kLintImage: return MsgKind::kLintImageReply;
-      case MsgKind::kSwarm: return MsgKind::kSwarmReply;
-      case MsgKind::kPing: return MsgKind::kPingReply;
-      case MsgKind::kCacheInsert: return MsgKind::kCacheInsertReply;
-      default: return MsgKind::kErrorReply;
-    }
+    const std::size_t row =
+        kindRow(request_kind, false, std::size(kKinds));
+    return row < std::size(kKinds) ? kKinds[row].second
+                                   : MsgKind::kErrorReply;
 }
 
 int
@@ -516,470 +606,61 @@ requestPriority(MsgKind kind)
     }
 }
 
+template <class T>
 std::vector<std::uint8_t>
-encodePing(const PingJob &job)
+encodeControl(const T &msg)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(job.nonce);
-    return bytes;
+    return encode(msg);
 }
 
+template <class T>
 bool
-decodePing(const std::uint8_t *data, std::size_t len, PingJob &out,
-           std::string &err)
+decodeControl(const std::uint8_t *data, std::size_t len, T &out,
+              std::string &err)
 {
-    ByteReader r(data, len);
-    out.nonce = r.u64();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad ping payload";
-        return false;
-    }
-    return true;
+    Reader r(data, len);
+    r(out);
+    return finish(r, "control", err);
 }
 
-std::vector<std::uint8_t>
-encodePingResult(const PingResult &res)
-{
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(res.nonce);
-    w.u32(res.queueDepth);
-    w.u64(res.cacheEntries);
-    w.u8(res.draining);
-    return bytes;
-}
-
-bool
-decodePingResult(const std::uint8_t *data, std::size_t len,
-                 PingResult &out, std::string &err)
-{
-    ByteReader r(data, len);
-    out.nonce = r.u64();
-    out.queueDepth = r.u32();
-    out.cacheEntries = r.u64();
-    out.draining = r.u8();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad ping reply payload";
-        return false;
-    }
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeCacheInsert(const CacheInsertJob &job)
-{
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(job.key);
-    w.u16(job.kind);
-    w.u32(std::uint32_t(job.payload.size()));
-    bytes.insert(bytes.end(), job.payload.begin(), job.payload.end());
-    return bytes;
-}
-
-bool
-decodeCacheInsert(const std::uint8_t *data, std::size_t len,
-                  CacheInsertJob &out, std::string &err)
-{
-    ByteReader r(data, len);
-    out.key = r.u64();
-    out.kind = r.u16();
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || len - (8 + 2 + 4) != n) {
-        err = "bad cache-insert payload";
-        return false;
-    }
-    out.payload.assign(data + 14, data + 14 + n);
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeCacheInsertResult(const CacheInsertResult &res)
-{
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u8(res.stored);
-    return bytes;
-}
-
-bool
-decodeCacheInsertResult(const std::uint8_t *data, std::size_t len,
-                        CacheInsertResult &out, std::string &err)
-{
-    ByteReader r(data, len);
-    out.stored = r.u8();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad cache-insert reply payload";
-        return false;
-    }
-    return true;
-}
+template std::vector<std::uint8_t> encodeControl(const PingJob &);
+template std::vector<std::uint8_t> encodeControl(const PingResult &);
+template std::vector<std::uint8_t> encodeControl(const CacheInsertJob &);
+template std::vector<std::uint8_t>
+encodeControl(const CacheInsertResult &);
+template bool decodeControl(const std::uint8_t *, std::size_t,
+                            PingJob &, std::string &);
+template bool decodeControl(const std::uint8_t *, std::size_t,
+                            PingResult &, std::string &);
+template bool decodeControl(const std::uint8_t *, std::size_t,
+                            CacheInsertJob &, std::string &);
+template bool decodeControl(const std::uint8_t *, std::size_t,
+                            CacheInsertResult &, std::string &);
 
 std::vector<std::uint8_t>
 encodeRequestPayload(const Request &req)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    if (const auto *ro = std::get_if<RoSweepJob>(&req)) {
-        w.str(ro->tech);
-        w.u32(ro->stages);
-        w.u8(ro->cell);
-        w.f64(ro->speed);
-        w.f64(ro->tempC);
-        w.f64(ro->vStart);
-        w.f64(ro->vEnd);
-        w.f64(ro->vStep);
-    } else if (const auto *dp = std::get_if<DesignPointJob>(&req)) {
-        w.str(dp->tech);
-        put(w, dp->config);
-    } else if (const auto *dse = std::get_if<DseShardJob>(&req)) {
-        w.str(dse->tech);
-        w.u32(dse->populationSize);
-        w.u32(dse->generations);
-        w.u64(dse->seed);
-        w.f64(dse->fixedRate);
-        w.u8(dse->exploreDivider);
-    } else if (const auto *t = std::get_if<TortureJob>(&req)) {
-        put(w, t->workload);
-        w.u32(t->sramSize);
-        w.u64(t->stableCycles);
-        w.u64(t->lowCycles);
-        w.u64(t->seed);
-        w.u32(t->killsPerWindow);
-        w.u32(t->randomKills);
-        w.u64(t->exhaustivePoints);
-        w.u64(t->pointOffset);
-        w.u64(t->pointCount);
-        w.u8(t->coverageMap);
-    } else if (const auto *g = std::get_if<GuestRunJob>(&req)) {
-        put(w, g->workload);
-        w.u8(g->traceCache);
-    } else if (const auto *l = std::get_if<LintImageJob>(&req)) {
-        w.str(l->name);
-        w.u32(std::uint32_t(l->code.size()));
-        for (std::uint32_t word : l->code)
-            w.u32(word);
-        w.u8(l->emitPruning);
-    } else if (const auto *s = std::get_if<SwarmJob>(&req)) {
-        w.u64(s->deviceCount);
-        w.u64(s->firstDevice);
-        w.u64(s->spanDevices);
-        w.u64(s->seed);
-        w.u32(s->profile);
-        w.f64(s->traceSeconds);
-        w.f64(s->segmentSeconds);
-        w.f64(s->ckptPeriodS);
-        w.f64(s->zThreshold);
-        w.u32(s->warmup);
-        w.u32(s->tripsToFlag);
-        w.u64(s->anomalyEvery);
-        w.f64(s->anomalyFactor);
-        w.str(s->traceCsv);
-    }
-    return bytes;
+    return std::visit([](const auto &job) { return encode(job); }, req);
 }
 
 bool
 decodeRequestPayload(MsgKind kind, const std::uint8_t *data,
                      std::size_t len, Request &out, std::string &err)
 {
-    ByteReader r(data, len);
-    switch (kind) {
-      case MsgKind::kRoSweep: {
-          RoSweepJob job;
-          job.tech = r.str();
-          job.stages = r.u32();
-          job.cell = r.u8();
-          job.speed = r.f64();
-          job.tempC = r.f64();
-          job.vStart = r.f64();
-          job.vEnd = r.f64();
-          job.vStep = r.f64();
-          out = job;
-          break;
-      }
-      case MsgKind::kDesignPoint: {
-          DesignPointJob job;
-          job.tech = r.str();
-          job.config = getConfig(r);
-          out = job;
-          break;
-      }
-      case MsgKind::kDseShard: {
-          DseShardJob job;
-          job.tech = r.str();
-          job.populationSize = r.u32();
-          job.generations = r.u32();
-          job.seed = r.u64();
-          job.fixedRate = r.f64();
-          job.exploreDivider = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kTorture: {
-          TortureJob job;
-          job.workload = getWorkload(r);
-          job.sramSize = r.u32();
-          job.stableCycles = r.u64();
-          job.lowCycles = r.u64();
-          job.seed = r.u64();
-          job.killsPerWindow = r.u32();
-          job.randomKills = r.u32();
-          job.exhaustivePoints = r.u64();
-          job.pointOffset = r.u64();
-          job.pointCount = r.u64();
-          job.coverageMap = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kGuestRun: {
-          GuestRunJob job;
-          job.workload = getWorkload(r);
-          job.traceCache = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kLintImage: {
-          LintImageJob job;
-          job.name = r.str();
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i)
-              job.code.push_back(r.u32());
-          job.emitPruning = r.u8();
-          out = std::move(job);
-          break;
-      }
-      case MsgKind::kSwarm: {
-          SwarmJob job;
-          job.deviceCount = r.u64();
-          job.firstDevice = r.u64();
-          job.spanDevices = r.u64();
-          job.seed = r.u64();
-          job.profile = r.u32();
-          job.traceSeconds = r.f64();
-          job.segmentSeconds = r.f64();
-          job.ckptPeriodS = r.f64();
-          job.zThreshold = r.f64();
-          job.warmup = r.u32();
-          job.tripsToFlag = r.u32();
-          job.anomalyEvery = r.u64();
-          job.anomalyFactor = r.f64();
-          job.traceCsv = r.str();
-          out = std::move(job);
-          break;
-      }
-      default:
-        err = "unknown request kind " +
-              std::to_string(unsigned(kind));
-        return false;
-    }
-    if (!r.ok()) {
-        err = "truncated request payload";
-        return false;
-    }
-    if (!r.atEnd()) {
-        err = "trailing bytes after request payload";
-        return false;
-    }
-    return true;
+    return decodePayload(kind, data, len, out, err);
 }
 
 std::vector<std::uint8_t>
 encodeResponsePayload(const Response &resp)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    if (const auto *ro = std::get_if<RoSweepResult>(&resp)) {
-        w.u32(std::uint32_t(ro->frequenciesHz.size()));
-        for (double f : ro->frequenciesHz)
-            w.f64(f);
-    } else if (const auto *dp = std::get_if<DesignPointResult>(&resp)) {
-        put(w, dp->perf);
-    } else if (const auto *dse = std::get_if<DseShardResult>(&resp)) {
-        w.u32(std::uint32_t(dse->front.size()));
-        for (const DsePointWire &p : dse->front) {
-            put(w, p.config);
-            put(w, p.perf);
-        }
-    } else if (const auto *t = std::get_if<TortureResult>(&resp)) {
-        w.u64(t->cleanCycles);
-        w.u32(t->checkpoints);
-        w.f64(t->checkpointVolts);
-        w.u32(t->points);
-        w.u32(t->killed);
-        w.u32(t->killTears);
-        w.u32(t->coldRestarts);
-        w.u32(t->tornRestores);
-        w.u32(t->correct);
-        w.u32(t->incorrect);
-        w.u32(std::uint32_t(t->outcomeFlags.size()));
-        for (std::uint8_t f : t->outcomeFlags)
-            w.u8(f);
-        w.u32(std::uint32_t(t->results.size()));
-        for (std::uint32_t v : t->results)
-            w.u32(v);
-        w.u32(std::uint32_t(t->coverage.size()));
-        for (const TortureCoverageWire &c : t->coverage) {
-            w.u32(c.addr);
-            w.u8(c.cls);
-            w.u32(c.rank);
-            w.u32(c.points);
-            w.u32(c.killed);
-            w.u32(c.correct);
-            w.u32(c.incorrect);
-            w.u32(c.coldRestarts);
-            w.u32(c.killTears);
-        }
-    } else if (const auto *g = std::get_if<GuestRunResult>(&resp)) {
-        w.str(g->name);
-        w.u32(g->result);
-        w.u32(g->expected);
-        w.u8(g->correct);
-        w.u64(g->instructions);
-    } else if (const auto *l = std::get_if<LintImageResult>(&resp)) {
-        w.str(l->image);
-        w.u32(l->errors);
-        w.u32(l->warnings);
-        w.u32(l->notes);
-        w.u64(l->worstCaseCommitCycles);
-        w.u64(l->budgetCycles);
-        w.f64(l->staticEnergyBound);
-        w.f64(l->energyBudgetJoules);
-        w.str(l->reportJson);
-        w.str(l->pruningJson);
-    } else if (const auto *s = std::get_if<SwarmResult>(&resp)) {
-        put(w, s->agg);
-    } else if (const auto *e = std::get_if<ErrorResult>(&resp)) {
-        w.u16(std::uint16_t(e->code));
-        w.str(e->message);
-    }
-    return bytes;
+    return std::visit([](const auto &res) { return encode(res); }, resp);
 }
 
 bool
 decodeResponsePayload(MsgKind kind, const std::uint8_t *data,
                       std::size_t len, Response &out, std::string &err)
 {
-    ByteReader r(data, len);
-    switch (kind) {
-      case MsgKind::kRoSweepReply: {
-          RoSweepResult res;
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i)
-              res.frequenciesHz.push_back(r.f64());
-          out = res;
-          break;
-      }
-      case MsgKind::kDesignPointReply: {
-          DesignPointResult res;
-          res.perf = getPerformance(r);
-          out = res;
-          break;
-      }
-      case MsgKind::kDseShardReply: {
-          DseShardResult res;
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i) {
-              DsePointWire p;
-              p.config = getConfig(r);
-              p.perf = getPerformance(r);
-              res.front.push_back(std::move(p));
-          }
-          out = res;
-          break;
-      }
-      case MsgKind::kTortureReply: {
-          TortureResult res;
-          res.cleanCycles = r.u64();
-          res.checkpoints = r.u32();
-          res.checkpointVolts = r.f64();
-          res.points = r.u32();
-          res.killed = r.u32();
-          res.killTears = r.u32();
-          res.coldRestarts = r.u32();
-          res.tornRestores = r.u32();
-          res.correct = r.u32();
-          res.incorrect = r.u32();
-          const std::uint32_t nf = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nf; ++i)
-              res.outcomeFlags.push_back(r.u8());
-          const std::uint32_t nr = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nr; ++i)
-              res.results.push_back(r.u32());
-          const std::uint32_t nc = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nc; ++i) {
-              TortureCoverageWire c;
-              c.addr = r.u32();
-              c.cls = r.u8();
-              c.rank = r.u32();
-              c.points = r.u32();
-              c.killed = r.u32();
-              c.correct = r.u32();
-              c.incorrect = r.u32();
-              c.coldRestarts = r.u32();
-              c.killTears = r.u32();
-              res.coverage.push_back(c);
-          }
-          out = res;
-          break;
-      }
-      case MsgKind::kGuestRunReply: {
-          GuestRunResult res;
-          res.name = r.str();
-          res.result = r.u32();
-          res.expected = r.u32();
-          res.correct = r.u8();
-          res.instructions = r.u64();
-          out = res;
-          break;
-      }
-      case MsgKind::kLintImageReply: {
-          LintImageResult res;
-          res.image = r.str();
-          res.errors = r.u32();
-          res.warnings = r.u32();
-          res.notes = r.u32();
-          res.worstCaseCommitCycles = r.u64();
-          res.budgetCycles = r.u64();
-          res.staticEnergyBound = r.f64();
-          res.energyBudgetJoules = r.f64();
-          res.reportJson = r.str();
-          res.pruningJson = r.str();
-          out = std::move(res);
-          break;
-      }
-      case MsgKind::kSwarmReply: {
-          SwarmResult res;
-          if (!getSwarmAggregates(r, res.agg, err)) {
-              if (err.empty())
-                  err = "truncated response payload";
-              return false;
-          }
-          out = std::move(res);
-          break;
-      }
-      case MsgKind::kErrorReply: {
-          ErrorResult res;
-          res.code = ErrorCode(r.u16());
-          res.message = r.str();
-          out = res;
-          break;
-      }
-      default:
-        err = "unknown response kind " +
-              std::to_string(unsigned(kind));
-        return false;
-    }
-    if (!r.ok()) {
-        err = "truncated response payload";
-        return false;
-    }
-    if (!r.atEnd()) {
-        err = "trailing bytes after response payload";
-        return false;
-    }
-    return true;
+    return decodePayload(kind, data, len, out, err);
 }
 
 bool
@@ -1049,16 +730,19 @@ mergeTortureResult(TortureResult &into, const TortureResult &shard,
     return true;
 }
 
-void
-appendFrame(std::vector<std::uint8_t> &out, MsgKind kind,
-            const std::uint8_t *payload, std::size_t len)
+bool
+mergeSwarmResult(SwarmResult &into, const SwarmResult &shard,
+                 std::string &err)
 {
-    ByteWriter w(out);
-    w.u32(kWireMagic);
-    w.u16(kWireVersion);
-    w.u16(std::uint16_t(kind));
-    w.u32(std::uint32_t(len));
-    out.insert(out.end(), payload, payload + len);
+    // swarm::mergeAggregates validates before mutating, so a failure
+    // leaves the accumulator intact.
+    const std::string reason =
+        swarm::mergeAggregates(&into.agg, shard.agg);
+    if (!reason.empty()) {
+        err = reason;
+        return false;
+    }
+    return true;
 }
 
 std::vector<std::uint8_t>
@@ -1066,7 +750,9 @@ frameMessage(MsgKind kind, const std::vector<std::uint8_t> &payload)
 {
     std::vector<std::uint8_t> out;
     out.reserve(kFrameHeaderSize + payload.size());
-    appendFrame(out, kind, payload.data(), payload.size());
+    Writer w(out);
+    w(kWireMagic, kWireVersion, kind, std::uint32_t(payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
     return out;
 }
 
@@ -1077,23 +763,20 @@ parseFrame(const std::uint8_t *data, std::size_t len, Frame &out,
     consumed = 0;
     if (len < kFrameHeaderSize)
         return FrameStatus::kNeedMore;
-    ByteReader r(data, len);
-    const std::uint32_t magic = r.u32();
+    Reader r(data, len);
+    std::uint32_t magic = 0;
+    std::uint32_t payload_len = 0;
+    r(magic, out.version, out.kind, payload_len);
     if (magic != kWireMagic)
         return FrameStatus::kBadMagic;
-    const std::uint16_t version = r.u16();
-    const std::uint16_t kind = r.u16();
-    const std::uint32_t payload_len = r.u32();
     if (payload_len > kMaxFramePayload)
         return FrameStatus::kOversized;
     if (len - kFrameHeaderSize < payload_len)
         return FrameStatus::kNeedMore;
-    out.version = version;
-    out.kind = MsgKind(kind);
     out.payload.assign(data + kFrameHeaderSize,
                        data + kFrameHeaderSize + payload_len);
     consumed = kFrameHeaderSize + payload_len;
-    if (version != kWireVersion)
+    if (out.version != kWireVersion)
         return FrameStatus::kVersionMismatch;
     return FrameStatus::kOk;
 }
@@ -1101,14 +784,11 @@ parseFrame(const std::uint8_t *data, std::size_t len, Frame &out,
 std::uint64_t
 requestKey(MsgKind kind, const std::vector<std::uint8_t> &payload)
 {
-    const std::uint8_t head[4] = {
-        std::uint8_t(kWireVersion & 0xff),
-        std::uint8_t(kWireVersion >> 8),
-        std::uint8_t(std::uint16_t(kind) & 0xff),
-        std::uint8_t(std::uint16_t(kind) >> 8),
-    };
-    const std::uint64_t h = fnv1a64(head, sizeof head);
-    return fnv1a64(payload.data(), payload.size(), h);
+    std::vector<std::uint8_t> head;
+    Writer w(head);
+    w(kWireVersion, kind);
+    return fnv1a64(payload.data(), payload.size(),
+                   fnv1a64(head.data(), head.size()));
 }
 
 ConfigWire
@@ -1143,38 +823,25 @@ fromWire(const ConfigWire &w)
     return cfg;
 }
 
-PerformanceWire
-toWire(const core::Performance &perf)
+swarm::SwarmConfig
+fromWire(const SwarmJob &w)
 {
-    PerformanceWire w;
-    w.realizable = perf.realizable ? 1 : 0;
-    w.rejectReason = perf.rejectReason;
-    w.meanCurrent = perf.meanCurrent;
-    w.sampleRate = perf.sampleRate;
-    w.granularity = perf.granularity;
-    w.nvmBytes = perf.nvmBytes;
-    w.transistors = perf.transistors;
-    w.quantizationError = perf.quantizationError;
-    w.thermalError = perf.thermalError;
-    w.interpolationError = perf.interpolationError;
-    return w;
-}
-
-core::Performance
-fromWire(const PerformanceWire &w)
-{
-    core::Performance perf;
-    perf.realizable = w.realizable != 0;
-    perf.rejectReason = w.rejectReason;
-    perf.meanCurrent = w.meanCurrent;
-    perf.sampleRate = w.sampleRate;
-    perf.granularity = w.granularity;
-    perf.nvmBytes = std::size_t(w.nvmBytes);
-    perf.transistors = std::size_t(w.transistors);
-    perf.quantizationError = w.quantizationError;
-    perf.thermalError = w.thermalError;
-    perf.interpolationError = w.interpolationError;
-    return perf;
+    swarm::SwarmConfig cfg;
+    cfg.deviceCount = w.deviceCount;
+    cfg.firstDevice = w.firstDevice;
+    cfg.spanDevices = w.spanDevices;
+    cfg.seed = w.seed;
+    cfg.profile = swarm::HarvestProfile(w.profile);
+    cfg.traceSeconds = w.traceSeconds;
+    cfg.segmentSeconds = w.segmentSeconds;
+    cfg.ckptPeriodS = w.ckptPeriodS;
+    cfg.zThreshold = w.zThreshold;
+    cfg.warmup = w.warmup;
+    cfg.tripsToFlag = w.tripsToFlag;
+    cfg.anomalyEvery = w.anomalyEvery;
+    cfg.anomalyFactor = w.anomalyFactor;
+    cfg.traceCsv = w.traceCsv;
+    return cfg;
 }
 
 std::string

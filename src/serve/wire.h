@@ -2,16 +2,20 @@
  * @file
  * Canonical, versioned wire format for the fs::serve subsystem.
  *
- * Every simulation job the service understands is a typed request
- * struct with a single canonical byte encoding: little-endian
- * fixed-width integers, IEEE-754 doubles transported bit-exactly as
- * 64-bit words, and length-prefixed UTF-8 strings. "Canonical" is
- * load-bearing: the FNV-1a hash of the encoded request bytes is the
- * content address under which responses are cached, so two logically
- * equal requests must always encode to the same bytes. Responses use
- * the same primitives, which makes byte-level equality a meaningful
- * determinism check (test_serve locks cold/cached/batched responses
- * together at 1 and 8 worker threads).
+ * Every message is a plain struct with one field list in wire.cc,
+ * `template <class Ar> void fields(Ar &, T &)`, in wire order; that
+ * list drives both the encoder and the bounds-checked decoder. The
+ * primitives are encoded in one place: little-endian fixed-width
+ * integers, enums at their underlying width, bool as one byte (other
+ * bytes than 0 and 1 are refused), doubles as their IEEE-754 bits, and
+ * strings and vectors behind a u32 count that is checked against the
+ * remaining bytes before anything is allocated.
+ *
+ * The encoding is canonical: the FNV-1a hash of the encoded request
+ * bytes is the content address under which responses are cached, so
+ * equal requests must encode to equal bytes, and a payload decodes
+ * only when it is consumed exactly. Responses share the encoding, so
+ * byte equality of replies is a determinism check.
  *
  * On a transport, every message travels in a fixed 12-byte frame
  * header (magic, version, message kind, payload length). Frames with
@@ -133,20 +137,6 @@ struct ConfigWire {
     std::uint8_t strategy = 2; ///< calib::Strategy
 };
 
-/** core::Performance on the wire. */
-struct PerformanceWire {
-    std::uint8_t realizable = 0;
-    std::string rejectReason;
-    double meanCurrent = 0.0;
-    double sampleRate = 0.0;
-    double granularity = 0.0;
-    std::uint64_t nvmBytes = 0;
-    std::uint64_t transistors = 0;
-    double quantizationError = 0.0;
-    double thermalError = 0.0;
-    double interpolationError = 0.0;
-};
-
 /** Evaluate one design point through the performance model. */
 struct DesignPointJob {
     std::string tech = "90nm";
@@ -154,7 +144,7 @@ struct DesignPointJob {
 };
 
 struct DesignPointResult {
-    PerformanceWire perf;
+    core::Performance perf;
 };
 
 /** One NSGA-II design-space exploration shard. */
@@ -169,7 +159,7 @@ struct DseShardJob {
 
 struct DsePointWire {
     ConfigWire config;
-    PerformanceWire perf;
+    core::Performance perf;
 };
 
 struct DseShardResult {
@@ -273,9 +263,8 @@ bool mergeTortureResult(TortureResult &into, const TortureResult &shard,
 /** Run one guest workload to completion on a bare FRAM+SRAM machine. */
 struct GuestRunJob {
     WorkloadSpec workload;
-    /** 0 = interpreter only (the DBT tier off). The field keeps its
-     *  historical name and wire byte. */
-    std::uint8_t traceCache = 1;
+    /** 0 = interpreter only (the DBT tier off). */
+    std::uint8_t allowDbt = 1;
 };
 
 struct GuestRunResult {
@@ -428,19 +417,16 @@ int requestPriority(MsgKind kind);
 
 // --- control-plane codecs --------------------------------------------
 
-std::vector<std::uint8_t> encodePing(const PingJob &job);
-bool decodePing(const std::uint8_t *data, std::size_t len,
-                PingJob &out, std::string &err);
-std::vector<std::uint8_t> encodePingResult(const PingResult &res);
-bool decodePingResult(const std::uint8_t *data, std::size_t len,
-                      PingResult &out, std::string &err);
-std::vector<std::uint8_t> encodeCacheInsert(const CacheInsertJob &job);
-bool decodeCacheInsert(const std::uint8_t *data, std::size_t len,
-                       CacheInsertJob &out, std::string &err);
-std::vector<std::uint8_t>
-encodeCacheInsertResult(const CacheInsertResult &res);
-bool decodeCacheInsertResult(const std::uint8_t *data, std::size_t len,
-                             CacheInsertResult &out, std::string &err);
+/**
+ * Payload codecs for PingJob, PingResult, CacheInsertJob and
+ * CacheInsertResult. decodeControl returns false (with `err` set) on
+ * the failures decodeRequestPayload lists.
+ */
+template <class T>
+std::vector<std::uint8_t> encodeControl(const T &msg);
+template <class T>
+bool decodeControl(const std::uint8_t *data, std::size_t len, T &out,
+                   std::string &err);
 
 // --- canonical payload encoding --------------------------------------
 
@@ -449,7 +435,9 @@ std::vector<std::uint8_t> encodeRequestPayload(const Request &req);
 
 /**
  * Decode a request payload of the given kind. @return false (with
- * `err` set) on unknown kind, truncation, or trailing bytes.
+ * `err` set) on unknown kind, truncation (including a count the
+ * remaining bytes cannot hold), trailing bytes, a bool byte other
+ * than 0/1, or swarm sketch geometry unlike the receiver's.
  */
 bool decodeRequestPayload(MsgKind kind,
                           const std::uint8_t *data, std::size_t len,
@@ -469,9 +457,7 @@ struct Frame {
     std::vector<std::uint8_t> payload;
 };
 
-/** Append one framed message to `out`. */
-void appendFrame(std::vector<std::uint8_t> &out, MsgKind kind,
-                 const std::uint8_t *payload, std::size_t len);
+/** One framed message: the 12-byte header, then the payload. */
 std::vector<std::uint8_t> frameMessage(MsgKind kind,
                                        const std::vector<std::uint8_t> &payload);
 
@@ -487,7 +473,7 @@ enum class FrameStatus {
  * Parse one frame from `data[0..len)`. On kOk and kVersionMismatch
  * the whole frame is consumed (header + payload, so a mismatched
  * client can be answered and the stream stays in sync); on any other
- * status `consumed` is 0.
+ * status `consumed` is 0 and `out` holds nothing usable.
  */
 FrameStatus parseFrame(const std::uint8_t *data, std::size_t len,
                        Frame &out, std::size_t &consumed);
@@ -513,9 +499,6 @@ std::uint64_t requestKey(MsgKind kind,
 
 ConfigWire toWire(const core::FsConfig &cfg);
 core::FsConfig fromWire(const ConfigWire &w);
-PerformanceWire toWire(const core::Performance &perf);
-core::Performance fromWire(const PerformanceWire &w);
-SwarmJob toWire(const swarm::SwarmConfig &cfg);
 swarm::SwarmConfig fromWire(const SwarmJob &w);
 
 /** Human-readable workload name, e.g. "crc32-256". */

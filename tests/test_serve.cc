@@ -71,17 +71,17 @@ randomConfig(Rng &rng)
     return c;
 }
 
-PerformanceWire
+core::Performance
 randomPerf(Rng &rng)
 {
-    PerformanceWire p;
-    p.realizable = std::uint8_t(rng.uniformInt(0, 1));
+    core::Performance p;
+    p.realizable = rng.uniformInt(0, 1) != 0;
     p.rejectReason = randomString(rng, 24);
     p.meanCurrent = rng.uniform(-1.0, 1.0);
     p.sampleRate = rng.uniform(0.0, 1e7);
     p.granularity = rng.uniform(0.0, 1.0);
-    p.nvmBytes = std::uint64_t(rng.uniformInt(0, 1 << 20));
-    p.transistors = std::uint64_t(rng.uniformInt(0, 1 << 24));
+    p.nvmBytes = std::size_t(rng.uniformInt(0, 1 << 20));
+    p.transistors = std::size_t(rng.uniformInt(0, 1 << 24));
     p.quantizationError = rng.uniform(0.0, 0.5);
     p.thermalError = rng.uniform(0.0, 0.5);
     p.interpolationError = rng.uniform(0.0, 0.5);
@@ -139,7 +139,7 @@ randomRequests(Rng &rng)
 
     GuestRunJob guest;
     guest.workload = randomWorkload(rng);
-    guest.traceCache = std::uint8_t(rng.uniformInt(0, 1));
+    guest.allowDbt = std::uint8_t(rng.uniformInt(0, 1));
 
     LintImageJob lint;
     lint.name = randomString(rng, 16);
@@ -269,6 +269,17 @@ struct Decodable {
         decode;
 };
 
+template <class T>
+Decodable
+controlDecodable(const std::string &name, const T &msg)
+{
+    return {name, encodeControl(msg),
+            [](const std::uint8_t *d, std::size_t n, std::string &err) {
+                T m;
+                return decodeControl(d, n, m, err);
+            }};
+}
+
 /** Every request, every response and every control-plane message. */
 std::vector<Decodable>
 decodables(Rng &rng)
@@ -298,41 +309,21 @@ decodables(Rng &rng)
     }
     PingJob ping;
     ping.nonce = std::uint64_t(rng.uniformInt(0, 1 << 30));
-    out.push_back({"ping", encodePing(ping),
-                   [](const std::uint8_t *d, std::size_t n,
-                      std::string &err) {
-                       PingJob m;
-                       return decodePing(d, n, m, err);
-                   }});
+    out.push_back(controlDecodable("ping", ping));
     PingResult pong;
     pong.nonce = ping.nonce;
     pong.queueDepth = 3;
     pong.cacheEntries = 9;
     pong.draining = 1;
-    out.push_back({"ping_reply", encodePingResult(pong),
-                   [](const std::uint8_t *d, std::size_t n,
-                      std::string &err) {
-                       PingResult m;
-                       return decodePingResult(d, n, m, err);
-                   }});
+    out.push_back(controlDecodable("ping_reply", pong));
     CacheInsertJob insert;
     insert.key = std::uint64_t(rng.uniformInt(0, 1 << 30));
     insert.kind = std::uint16_t(MsgKind::kGuestRunReply);
     insert.payload = {1, 2, 3, 4, 5};
-    out.push_back({"cache_insert", encodeCacheInsert(insert),
-                   [](const std::uint8_t *d, std::size_t n,
-                      std::string &err) {
-                       CacheInsertJob m;
-                       return decodeCacheInsert(d, n, m, err);
-                   }});
+    out.push_back(controlDecodable("cache_insert", insert));
     CacheInsertResult stored;
     stored.stored = 1;
-    out.push_back({"cache_insert_reply", encodeCacheInsertResult(stored),
-                   [](const std::uint8_t *d, std::size_t n,
-                      std::string &err) {
-                       CacheInsertResult m;
-                       return decodeCacheInsertResult(d, n, m, err);
-                   }});
+    out.push_back(controlDecodable("cache_insert_reply", stored));
     return out;
 }
 
@@ -471,6 +462,74 @@ TEST(Wire, VersionMismatchConsumesTheFrame)
     EXPECT_EQ(frame.version, wrong);
 }
 
+/** Little-endian bytes of `v`, `n` of them. */
+void
+appendLe(std::vector<std::uint8_t> &out, std::uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        out.push_back(std::uint8_t(v >> (8 * i)));
+}
+
+/**
+ * A 20-byte swarm reply that claims 0xFFFFFFFF blocks, with a device
+ * count that agrees with it, and nothing after the count.
+ */
+std::vector<std::uint8_t>
+hostileSwarmReply()
+{
+    std::vector<std::uint8_t> bytes;
+    appendLe(bytes, 0, 8); // firstBlock
+    appendLe(bytes, 0xFFFFFFFFull * swarm::kSwarmBlock, 8); // devices
+    appendLe(bytes, 0xFFFFFFFFu, 4); // block count
+    return bytes;
+}
+
+TEST(Wire, HostileCountsAreTypedErrorsNotAllocations)
+{
+    const std::vector<std::uint8_t> swarm = hostileSwarmReply();
+    ASSERT_EQ(swarm.size(), 20u);
+    Response resp;
+    std::string err;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = decodeResponsePayload(MsgKind::kSwarmReply,
+                                               swarm.data(), swarm.size(),
+                                               resp, err));
+    EXPECT_FALSE(ok);
+    EXPECT_FALSE(err.empty());
+
+    std::vector<std::uint8_t> lint;
+    appendLe(lint, 0, 4);           // empty image name
+    appendLe(lint, 0xFFFFFFFFu, 4); // code word count
+    Request req;
+    err.clear();
+    ok = true;
+    EXPECT_NO_THROW(ok = decodeRequestPayload(MsgKind::kLintImage,
+                                              lint.data(), lint.size(),
+                                              req, err));
+    EXPECT_FALSE(ok);
+    EXPECT_FALSE(err.empty());
+}
+
+TEST(Wire, BoolFieldsRejectBytesOtherThanZeroAndOne)
+{
+    core::Performance perf;
+    perf.realizable = true;
+    std::vector<std::uint8_t> bytes =
+        encodeResponsePayload(DesignPointResult{perf});
+    ASSERT_EQ(bytes.front(), 1u); // realizable leads the payload
+    Response resp;
+    std::string err;
+    ASSERT_TRUE(decodeResponsePayload(MsgKind::kDesignPointReply,
+                                      bytes.data(), bytes.size(), resp,
+                                      err))
+        << err;
+    bytes.front() = 2;
+    EXPECT_FALSE(decodeResponsePayload(MsgKind::kDesignPointReply,
+                                       bytes.data(), bytes.size(), resp,
+                                       err));
+    EXPECT_FALSE(err.empty());
+}
+
 TEST(Wire, RequestKeyDistinguishesKindAndContent)
 {
     GuestRunJob a;
@@ -496,7 +555,7 @@ struct GoldenPayload {
 
 /**
  * One fixed request and one fixed reply of each of the nine message
- * kinds (guest runs with traceCache 0 and 1, plus the error reply),
+ * kinds (guest runs with allowDbt 0 and 1, plus the error reply),
  * encoded with the current codecs.
  */
 std::vector<GoldenPayload>
@@ -557,7 +616,7 @@ goldenPayloads()
     guest.workload.a = 64;
     guest.workload.seed = 3;
     request("guest_run_dbt", guest);
-    guest.traceCache = 0;
+    guest.allowDbt = 0;
     request("guest_run_interp", guest);
 
     LintImageJob lint;
@@ -578,7 +637,7 @@ goldenPayloads()
 
     PingJob ping;
     ping.nonce = 0x0123456789abcdefull;
-    out.push_back({"ping", encodePing(ping)});
+    out.push_back({"ping", encodeControl(ping)});
     // One whole frame pins the v3 header layout too.
     out.push_back(
         {"ping_frame", frameMessage(MsgKind::kPing, out.back().bytes)});
@@ -587,14 +646,14 @@ goldenPayloads()
     insert.key = 0xfeedfacecafebeefull;
     insert.kind = std::uint16_t(MsgKind::kGuestRunReply);
     insert.payload = {1, 2, 3, 4};
-    out.push_back({"cache_insert", encodeCacheInsert(insert)});
+    out.push_back({"cache_insert", encodeControl(insert)});
 
     RoSweepResult ro_res;
     ro_res.frequenciesHz = {1.25e6, 2.5e6, 5e6};
     reply("ro_sweep_reply", ro_res);
 
-    PerformanceWire perf;
-    perf.realizable = 1;
+    core::Performance perf;
+    perf.realizable = true;
     perf.rejectReason = "none";
     perf.meanCurrent = 1.5e-7;
     perf.sampleRate = 1e3;
@@ -667,11 +726,11 @@ goldenPayloads()
     pong.queueDepth = 5;
     pong.cacheEntries = 17;
     pong.draining = 1;
-    out.push_back({"ping_reply", encodePingResult(pong)});
+    out.push_back({"ping_reply", encodeControl(pong)});
 
     CacheInsertResult stored;
     stored.stored = 1;
-    out.push_back({"cache_insert_reply", encodeCacheInsertResult(stored)});
+    out.push_back({"cache_insert_reply", encodeControl(stored)});
 
     ErrorResult error;
     error.code = ErrorCode::kBadRequest;
@@ -1401,6 +1460,32 @@ TEST(Server, AnswersVersionMismatchWithTypedError)
     ASSERT_NE(error, nullptr);
     EXPECT_EQ(error->code, ErrorCode::kVersionMismatch);
     EXPECT_EQ(server.stats().versionMismatches, 1u);
+}
+
+TEST(Server, HostileCacheInsertIsRefusedAndPingsStillAnswer)
+{
+    Server::Options opts;
+    opts.socketPath = testSocketPath("hostile");
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    Client client;
+    ASSERT_TRUE(client.connect(opts.socketPath, err)) << err;
+    CacheInsertJob insert;
+    insert.key = 0x5eed;
+    insert.kind = std::uint16_t(MsgKind::kSwarmReply);
+    insert.payload = hostileSwarmReply();
+    bool stored = true;
+    ASSERT_TRUE(client.cacheInsert(insert, stored, err)) << err;
+    EXPECT_FALSE(stored);
+
+    PingResult pong;
+    ASSERT_TRUE(client.ping(pong, err)) << err;
+    client.close();
+    server.stop();
+    EXPECT_EQ(server.stats().cacheInserts, 0u);
+    EXPECT_EQ(server.stats().pings, 1u);
 }
 
 TEST(Server, DrainsQueuedRequestsOnStop)

@@ -127,7 +127,7 @@ printConfig(const char *prefix, const ConfigWire &c)
 }
 
 void
-printPerf(const char *prefix, const PerformanceWire &p)
+printPerf(const char *prefix, const fs::core::Performance &p)
 {
     std::printf("%srealizable=%u\n", prefix, unsigned(p.realizable));
     std::printf("%sreject_reason=%s\n", prefix,
@@ -748,7 +748,7 @@ main(int argc, char **argv)
         if (!optWorkload(job.workload))
             return usage();
         if (hasFlag("--no-trace"))
-            job.traceCache = 0;
+            job.allowDbt = 0;
         req = job;
     } else if (job_name == "lint") {
         LintImageJob job;

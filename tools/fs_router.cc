@@ -122,13 +122,13 @@ serveConn(RouterDaemon *daemon, int fd)
             fs::serve::PingJob job;
             std::string err;
             fs::serve::PingResult pong;
-            if (fs::serve::decodePing(frame.payload.data(),
-                                      frame.payload.size(), job, err))
+            if (fs::serve::decodeControl(frame.payload.data(),
+                                         frame.payload.size(), job, err))
                 pong.nonce = job.nonce;
             pong.queueDepth =
                 std::uint32_t(daemon->router->inFlight());
             reply.kind = MsgKind::kPingReply;
-            reply.payload = fs::serve::encodePingResult(pong);
+            reply.payload = fs::serve::encodeControl(pong);
         } else {
             daemon->router->callRaw(frame.kind, frame.payload, reply);
         }
