@@ -312,7 +312,7 @@ main(int argc, char **argv)
                 r.fallbacks);
     // [perf]-prefixed: wall-clock rates are the one output allowed to
     // vary across runs/thread counts in the determinism diffs.
-    std::printf("[perf] campaign kills/sec: trace %.1f, dbt %.1f (%.2fx)\n",
+    std::printf("[perf] campaign kills/sec: interp %.1f, dbt %.1f (%.2fx)\n",
                 double(kills.size()) / elapsed,
                 double(kills.size()) / elapsed_dbt,
                 elapsed / elapsed_dbt);
@@ -344,8 +344,8 @@ main(int argc, char **argv)
     bench::shapeCheck("mid-commit kills fell back to the previous "
                       "valid slot",
                       w.fallbacks > 0);
-    bench::shapeCheck("DBT campaign summary byte-matches the trace "
-                      "tier's",
+    bench::shapeCheck("DBT campaign summary byte-matches the "
+                      "interpreter's",
                       json == json_dbt);
     bench::shapeCheck("snapshot-fork campaigns byte-match the "
                       "replay-from-boot summary",

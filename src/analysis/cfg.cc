@@ -237,15 +237,12 @@ Cfg::blockAt(std::uint32_t addr) const
     return kNoBlock;
 }
 
-void
-Cfg::computeSccs()
+std::vector<std::size_t>
+tarjanSccs(const std::vector<std::vector<std::size_t>> &succs)
 {
-    // Iterative Tarjan. SCC ids come out in completion order, which
-    // is reverse topological: cross-SCC edges go from higher id to
-    // lower id.
-    const std::size_t n = blocks_.size();
-    scc_of_.assign(n, kNoBlock);
-    scc_count_ = 0;
+    const std::size_t n = succs.size();
+    std::vector<std::size_t> sccOf(n, kNoBlock);
+    std::size_t sccCount = 0;
     std::vector<std::size_t> index(n, kNoBlock), low(n, 0);
     std::vector<bool> onStack(n, false);
     std::vector<std::size_t> stack;
@@ -265,8 +262,8 @@ Cfg::computeSccs()
         while (!frames.empty()) {
             Frame &f = frames.back();
             const std::size_t v = f.v;
-            if (f.child < blocks_[v].succs.size()) {
-                const std::size_t w = blocks_[v].succs[f.child++];
+            if (f.child < succs[v].size()) {
+                const std::size_t w = succs[v][f.child++];
                 if (index[w] == kNoBlock) {
                     index[w] = low[w] = counter++;
                     stack.push_back(w);
@@ -282,11 +279,11 @@ Cfg::computeSccs()
                     const std::size_t w = stack.back();
                     stack.pop_back();
                     onStack[w] = false;
-                    scc_of_[w] = scc_count_;
+                    sccOf[w] = sccCount;
                     if (w == v)
                         break;
                 }
-                ++scc_count_;
+                ++sccCount;
             }
             frames.pop_back();
             if (!frames.empty()) {
@@ -295,12 +292,26 @@ Cfg::computeSccs()
             }
         }
     }
+    return sccOf;
+}
+
+void
+Cfg::computeSccs()
+{
+    std::vector<std::vector<std::size_t>> succs;
+    succs.reserve(blocks_.size());
+    for (const BasicBlock &block : blocks_)
+        succs.push_back(block.succs);
+    scc_of_ = tarjanSccs(succs);
+    scc_count_ = scc_of_.empty()
+                     ? 0
+                     : *std::max_element(scc_of_.begin(), scc_of_.end()) + 1;
 
     // Member lists, ascending per SCC: interprocedural path costing
     // walks SCC members once per reachable SCC, so these must not be
     // O(blocks) scans.
     scc_members_.assign(scc_count_, {});
-    for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t b = 0; b < blocks_.size(); ++b)
         scc_members_[scc_of_[b]].push_back(b);
 }
 

@@ -48,6 +48,16 @@ struct BasicBlock {
     bool endsIllegal = false;   ///< decoding stopped on a bad word
 };
 
+/**
+ * Strongly connected components of the graph whose node v has the
+ * successor list @p succs[v] (iterative Tarjan: deep graphs need no
+ * native recursion). Returns the SCC id of every node. Ids are in
+ * completion order, which is reverse topological: a cross-SCC edge
+ * u->v has id[u] > id[v].
+ */
+std::vector<std::size_t>
+tarjanSccs(const std::vector<std::vector<std::size_t>> &succs);
+
 /** Recovered control-flow graph. */
 class Cfg
 {

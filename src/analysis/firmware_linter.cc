@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/fs_config.h"
+#include "riscv/semantics.h"
 #include "runtime/energy_model.h"
 #include "util/bench_report.h"
 #include "util/json.h"
@@ -112,61 +113,56 @@ join(const AbsVal &a, const AbsVal &b)
     return AbsVal::ptr(std::min(ba, bb));
 }
 
-/** Apply a pure function to every constant; Top otherwise. */
+/** Fold a pure binary op over every pair of constants; Top otherwise. */
 template <typename Fn>
 AbsVal
-mapConsts(const AbsVal &v, Fn fn)
+foldConsts(const AbsVal &a, const AbsVal &b, Fn fn)
 {
-    if (v.kind != AbsVal::kConsts)
+    if (a.kind != AbsVal::kConsts || b.kind != AbsVal::kConsts)
         return AbsVal::top();
     std::vector<std::uint32_t> out;
-    out.reserve(v.consts.size());
-    for (std::uint32_t c : v.consts)
-        out.push_back(fn(c));
+    out.reserve(a.consts.size() * b.consts.size());
+    for (std::uint32_t x : a.consts)
+        for (std::uint32_t y : b.consts)
+            out.push_back(fn(x, y));
     return AbsVal::fromSet(std::move(out));
 }
 
-/** v + imm, preserving pointer provenance. */
-AbsVal
-addImm(const AbsVal &v, std::int32_t imm)
-{
-    if (v.kind == AbsVal::kConsts)
-        return mapConsts(v, [imm](std::uint32_t c) {
-            return c + std::uint32_t(imm);
-        });
-    if (v.kind == AbsVal::kPtr)
-        return AbsVal::ptr(v.base + std::uint32_t(imm));
-    return v.kind == AbsVal::kBottom ? v : AbsVal::top();
-}
-
+/** a + b, preserving pointer provenance (pointer plus constant). */
 AbsVal
 addVals(const AbsVal &a, const AbsVal &b)
 {
-    if (a.kind == AbsVal::kConsts && b.kind == AbsVal::kConsts) {
-        std::vector<std::uint32_t> out;
-        for (std::uint32_t x : a.consts)
-            for (std::uint32_t y : b.consts)
-                out.push_back(x + y);
-        return AbsVal::fromSet(std::move(out));
-    }
     if (a.kind == AbsVal::kPtr && b.kind == AbsVal::kConsts)
         return AbsVal::ptr(a.base + b.consts.front());
     if (b.kind == AbsVal::kPtr && a.kind == AbsVal::kConsts)
         return AbsVal::ptr(b.base + a.consts.front());
-    return AbsVal::top();
+    return foldConsts(a, b, riscv::aluAdd);
 }
 
-AbsVal
-subVals(const AbsVal &a, const AbsVal &b)
+/** An ALU/M op's result function from semantics.h, and whether its
+ *  second operand is the immediate (nullptr for lui/auipc/fence). */
+struct AluOp {
+    std::uint32_t (*fn)(std::uint32_t, std::uint32_t) = nullptr;
+    bool immForm = false;
+};
+
+AluOp
+aluOp(Mnemonic op)
 {
-    if (a.kind == AbsVal::kConsts && b.kind == AbsVal::kConsts) {
-        std::vector<std::uint32_t> out;
-        for (std::uint32_t x : a.consts)
-            for (std::uint32_t y : b.consts)
-                out.push_back(x - y);
-        return AbsVal::fromSet(std::move(out));
+    switch (op) {
+#define FS_LINT_ALU(name, cost, result)                                \
+      case Mnemonic::k##name:                                          \
+        return {riscv::alu##name, false};
+      FS_RV_ALU_OPS(FS_LINT_ALU)
+#undef FS_LINT_ALU
+#define FS_LINT_ALU_IMM(name, reg_form)                                \
+      case Mnemonic::k##name:                                          \
+        return {riscv::alu##reg_form, true};
+      FS_RV_ALU_IMM_OPS(FS_LINT_ALU_IMM)
+#undef FS_LINT_ALU_IMM
+      default:
+        return {};
     }
-    return AbsVal::top();
 }
 
 // ---------------------------------------------------------------------
@@ -314,141 +310,42 @@ transfer(MachineState &s, const Instr &in)
 {
     const Decoded &d = in.d;
     AbsVal addr;
+    const AbsVal imm = AbsVal::constant(std::uint32_t(d.imm));
     switch (d.cls) {
       case InstrClass::kAlu:
-        switch (d.op) {
-          case Mnemonic::kLui:
-            s.setReg(d.rd, AbsVal::constant(std::uint32_t(d.imm)));
-            break;
-          case Mnemonic::kAuipc:
-            s.setReg(d.rd, AbsVal::constant(in.addr +
-                                            std::uint32_t(d.imm)));
-            break;
-          case Mnemonic::kAddi:
-            s.setReg(d.rd, addImm(s.reg(d.rs1), d.imm));
-            break;
-          case Mnemonic::kXori:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return c ^ std::uint32_t(d.imm);
-                     }));
-            break;
-          case Mnemonic::kOri:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return c | std::uint32_t(d.imm);
-                     }));
-            break;
-          case Mnemonic::kAndi:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return c & std::uint32_t(d.imm);
-                     }));
-            break;
-          case Mnemonic::kSlti:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return std::uint32_t(std::int32_t(c) < d.imm);
-                     }));
-            break;
-          case Mnemonic::kSltiu:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return std::uint32_t(c <
-                                              std::uint32_t(d.imm));
-                     }));
-            break;
-          case Mnemonic::kSlli:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return c << (d.imm & 31);
-                     }));
-            break;
-          case Mnemonic::kSrli:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return c >> (d.imm & 31);
-                     }));
-            break;
-          case Mnemonic::kSrai:
-            s.setReg(d.rd, mapConsts(s.reg(d.rs1), [&](std::uint32_t c) {
-                         return std::uint32_t(std::int32_t(c) >>
-                                              (d.imm & 31));
-                     }));
-            break;
-          case Mnemonic::kAdd:
-            s.setReg(d.rd, addVals(s.reg(d.rs1), s.reg(d.rs2)));
-            break;
-          case Mnemonic::kSub:
-            s.setReg(d.rd, subVals(s.reg(d.rs1), s.reg(d.rs2)));
-            break;
-          case Mnemonic::kFence:
-            break;
-          default: {
-            // Remaining register-register ALU ops: exact on constant
-            // sets, Top otherwise.
-            const AbsVal &a = s.reg(d.rs1);
-            const AbsVal &b = s.reg(d.rs2);
-            if (a.kind == AbsVal::kConsts &&
-                b.kind == AbsVal::kConsts) {
-                std::vector<std::uint32_t> out;
-                for (std::uint32_t x : a.consts)
-                    for (std::uint32_t y : b.consts) {
-                        std::uint32_t r = 0;
-                        switch (d.op) {
-                          case Mnemonic::kSll: r = x << (y & 31); break;
-                          case Mnemonic::kSrl: r = x >> (y & 31); break;
-                          case Mnemonic::kSra:
-                            r = std::uint32_t(std::int32_t(x) >>
-                                              (y & 31));
-                            break;
-                          case Mnemonic::kSlt:
-                            r = std::uint32_t(std::int32_t(x) <
-                                              std::int32_t(y));
-                            break;
-                          case Mnemonic::kSltu: r = x < y; break;
-                          case Mnemonic::kXor: r = x ^ y; break;
-                          case Mnemonic::kOr: r = x | y; break;
-                          case Mnemonic::kAnd: r = x & y; break;
-                          default: r = 0; break;
-                        }
-                        out.push_back(r);
-                    }
-                s.setReg(d.rd, AbsVal::fromSet(std::move(out)));
-            } else {
-                s.setReg(d.rd, AbsVal::top());
-            }
-            break;
-          }
-        }
-        break;
       case InstrClass::kMul:
       case InstrClass::kDiv: {
-        const AbsVal &a = s.reg(d.rs1);
-        const AbsVal &b = s.reg(d.rs2);
-        if (d.op == Mnemonic::kMul && a.kind == AbsVal::kConsts &&
-            b.kind == AbsVal::kConsts) {
-            std::vector<std::uint32_t> out;
-            for (std::uint32_t x : a.consts)
-                for (std::uint32_t y : b.consts)
-                    out.push_back(x * y);
-            s.setReg(d.rd, AbsVal::fromSet(std::move(out)));
-        } else {
-            s.setReg(d.rd, AbsVal::top());
-        }
-        break;
+        // Results come from semantics.h, exact on constant sets; only
+        // add/addi also carry pointer provenance.
+        const AluOp alu = aluOp(d.op);
+        const AbsVal &b = alu.immForm ? imm : s.reg(d.rs2);
+        if (d.op == Mnemonic::kLui)
+            s.setReg(d.rd, imm);
+        else if (d.op == Mnemonic::kAuipc)
+            s.setReg(d.rd, AbsVal::constant(in.addr + std::uint32_t(d.imm)));
+        else if (d.op == Mnemonic::kAdd || d.op == Mnemonic::kAddi)
+            s.setReg(d.rd, addVals(s.reg(d.rs1), b));
+        else if (alu.fn != nullptr)
+            s.setReg(d.rd, foldConsts(s.reg(d.rs1), b, alu.fn));
+        break; // fence
       }
       case InstrClass::kLoad:
-        addr = addImm(s.reg(d.rs1), d.imm);
+        addr = addVals(s.reg(d.rs1), imm);
         s.setReg(d.rd, AbsVal::top());
         break;
       case InstrClass::kStore:
-        addr = addImm(s.reg(d.rs1), d.imm);
+        addr = addVals(s.reg(d.rs1), imm);
         break;
       case InstrClass::kJal:
       case InstrClass::kJalr:
         s.setReg(d.rd, AbsVal::constant(in.addr + 4));
         break;
       case InstrClass::kCsr: {
-        const AbsVal written = (d.op == Mnemonic::kCsrrwi ||
-                                d.op == Mnemonic::kCsrrsi ||
-                                d.op == Mnemonic::kCsrrci)
-                                   ? AbsVal::constant(
-                                         std::uint32_t(d.imm))
-                                   : s.reg(d.rs1);
+        const AbsVal &written = (d.op == Mnemonic::kCsrrwi ||
+                                 d.op == Mnemonic::kCsrrsi ||
+                                 d.op == Mnemonic::kCsrrci)
+                                    ? imm
+                                    : s.reg(d.rs1);
         if (d.csr == riscv::kCsrMstatus)
             applyCsrBit(s.mie, d.op, written, riscv::kMstatusMie);
         else if (d.csr == riscv::kCsrMie)
@@ -536,38 +433,46 @@ describe(const AbsVal &v)
     return "unknown";
 }
 
-// ---------------------------------------------------------------------
-// Worst-case cost machinery
-// ---------------------------------------------------------------------
-
-std::uint64_t
-instrCost(const Decoded &d, const riscv::Hart::CycleCosts &costs)
+/**
+ * True when an SCC's internal edges, minus those @p cut(from, to)
+ * removes, form no cycle (Kahn's algorithm: every member drains).
+ */
+template <typename Cut>
+bool
+acyclicWithout(const Cfg &cfg, const std::vector<std::size_t> &members,
+               Cut cut)
 {
-    switch (d.cls) {
-      case InstrClass::kAlu: return costs.alu;
-      case InstrClass::kLoad:
-      case InstrClass::kStore: return costs.loadStore;
-      case InstrClass::kBranch:
-      case InstrClass::kJal:
-      case InstrClass::kJalr: return costs.branchTaken;
-      case InstrClass::kMul: return costs.mul;
-      case InstrClass::kDiv: return costs.div;
-      case InstrClass::kCsr: return costs.csr;
-      case InstrClass::kSystem: return costs.trap;
-      case InstrClass::kCustom:
-        return d.op == Mnemonic::kFsMark ? costs.alu : costs.csr;
-      case InstrClass::kIllegal: return 0;
+    const auto &blocks = cfg.blocks();
+    std::map<std::size_t, std::size_t> indeg;
+    for (std::size_t m : members)
+        indeg.emplace(m, 0);
+    for (std::size_t m : members)
+        for (std::size_t s : blocks[m].succs) {
+            const auto it = indeg.find(s);
+            if (it != indeg.end() && !cut(m, s))
+                ++it->second;
+        }
+    std::vector<std::size_t> ready;
+    for (const auto &[m, deg] : indeg)
+        if (deg == 0)
+            ready.push_back(m);
+    std::size_t drained = 0;
+    while (!ready.empty()) {
+        const std::size_t m = ready.back();
+        ready.pop_back();
+        ++drained;
+        for (std::size_t s : blocks[m].succs) {
+            const auto it = indeg.find(s);
+            if (it != indeg.end() && !cut(m, s) && --it->second == 0)
+                ready.push_back(s);
+        }
     }
-    return 0;
+    return drained == members.size();
 }
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // Linter
 // ---------------------------------------------------------------------
-
-namespace {
 
 /** Interprocedural facts about one direct-call target (internal
  *  superset of the exported CalleeSummary). */
@@ -746,73 +651,27 @@ Analysis::discoverFunctions()
         }
     }
 
-    // Call-graph SCCs mark recursion (iterative Tarjan over the
-    // function entries; any multi-function cycle or self-call makes
-    // every member's cycle/stack summary unbounded).
-    std::vector<std::size_t> entries;
-    entries.reserve(funcs_.size());
+    // Call-graph SCCs mark recursion: any multi-function cycle or
+    // self-call makes every member's cycle/stack summary unbounded.
     std::map<std::size_t, std::size_t> denseOf;
     for (const auto &[entry, f] : funcs_) {
-        denseOf[entry] = entries.size();
-        entries.push_back(entry);
+        const std::size_t next = denseOf.size();
+        denseOf[entry] = next;
     }
-    const std::size_t n = entries.size();
-    std::vector<std::size_t> index(n, kNoBlock), low(n, 0);
-    std::vector<bool> onStack(n, false);
-    std::vector<std::size_t> stack;
-    std::size_t counter = 0;
-    struct Frame {
-        std::size_t v;
-        std::size_t child = 0;
-    };
-    for (std::size_t root = 0; root < n; ++root) {
-        if (index[root] != kNoBlock)
-            continue;
-        std::vector<Frame> frames{{root, 0}};
-        index[root] = low[root] = counter++;
-        stack.push_back(root);
-        onStack[root] = true;
-        while (!frames.empty()) {
-            Frame &fr = frames.back();
-            const std::size_t v = fr.v;
-            const auto &callees = funcs_[entries[v]].callees;
-            if (fr.child < callees.size()) {
-                const std::size_t w = denseOf[callees[fr.child++]];
-                if (index[w] == kNoBlock) {
-                    index[w] = low[w] = counter++;
-                    stack.push_back(w);
-                    onStack[w] = true;
-                    frames.push_back({w, 0});
-                } else if (onStack[w]) {
-                    low[v] = std::min(low[v], index[w]);
-                }
-                continue;
-            }
-            if (low[v] == index[v]) {
-                std::vector<std::size_t> members;
-                while (true) {
-                    const std::size_t w = stack.back();
-                    stack.pop_back();
-                    onStack[w] = false;
-                    members.push_back(w);
-                    if (w == v)
-                        break;
-                }
-                const bool selfCall = [&] {
-                    const auto &cs = funcs_[entries[v]].callees;
-                    return std::find(cs.begin(), cs.end(),
-                                     entries[v]) != cs.end();
-                }();
-                if (members.size() > 1 || selfCall)
-                    for (std::size_t m : members)
-                        funcs_[entries[m]].recursive = true;
-            }
-            frames.pop_back();
-            if (!frames.empty()) {
-                const std::size_t parent = frames.back().v;
-                low[parent] = std::min(low[parent], low[v]);
-            }
-        }
+    std::vector<std::vector<std::size_t>> calls;
+    for (const auto &[entry, f] : funcs_) {
+        calls.emplace_back();
+        for (std::size_t callee : f.callees)
+            calls.back().push_back(denseOf.at(callee));
+    }
+    const std::vector<std::size_t> scc = tarjanSccs(calls);
+    std::vector<std::size_t> sccSize(scc.size(), 0);
+    for (std::size_t id : scc)
+        ++sccSize[id];
+    for (auto &[entry, f] : funcs_) {
+        const auto &cs = f.callees;
+        f.recursive = sccSize[scc[denseOf.at(entry)]] > 1 ||
+                      std::find(cs.begin(), cs.end(), entry) != cs.end();
     }
 }
 
@@ -1169,8 +1028,8 @@ Analysis::blockCost(std::size_t b) const
     const BasicBlock &block = cfg_.blocks()[b];
     std::uint64_t cost = 0;
     for (std::size_t i = 0; i < block.numInstrs; ++i)
-        cost += instrCost(cfg_.instrs()[block.firstInstr + i].d,
-                          opt_.costs);
+        cost += opt_.costs.worstCase(
+            cfg_.instrs()[block.firstInstr + i].d);
     return cost;
 }
 
@@ -1183,7 +1042,7 @@ Analysis::instrEnergy(std::size_t idx) const
     // Worst-case draw: the instruction's cycle count at the active
     // current, charged at V_ckpt (the budget's starting voltage, an
     // upper bound on the declining rail).
-    double e = double(instrCost(d, opt_.costs)) / opt_.clockHz *
+    double e = double(opt_.costs.worstCase(d)) / opt_.clockHz *
                opt_.activeCurrentAmps * opt_.checkpointVolts;
     if (d.isStore()) {
         const AbsVal &addr = instrAddr_[idx];
@@ -1239,10 +1098,23 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
             preheader.joinFrom(blockOut_[p]);
     if (!preheader.reachable)
         return std::nullopt;
+    // The body cost is charged once per trip, so every cycle must pass
+    // through the header (no inner loop), and through the blocks that
+    // hold the exit test and the induction step.
+    const auto onEveryCycle = [&](std::size_t b) {
+        return acyclicWithout(cfg_, members,
+                              [b](std::size_t from, std::size_t) {
+                                  return from == b;
+                              });
+    };
+    if (!onEveryCycle(header))
+        return std::nullopt;
 
-    // Register -> unique in-loop self-increment, if any.
+    // Register -> unique in-loop self-increment, if any, run on every
+    // trip.
     const auto stepOf = [&](Word r) -> std::optional<std::int32_t> {
         std::optional<std::int32_t> step;
+        std::size_t stepBlock = header;
         for (std::size_t m : members) {
             const BasicBlock &block = blocks[m];
             if ((block.callTarget != kNoBlock || block.callsIndirect) &&
@@ -1256,12 +1128,13 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
                 if (d.op == Mnemonic::kAddi && d.rs1 == r &&
                     d.imm != 0 && !step) {
                     step = d.imm;
+                    stepBlock = m;
                     continue;
                 }
                 return std::nullopt; // a second def: not an IV
             }
         }
-        return step;
+        return onEveryCycle(stepBlock) ? step : std::nullopt;
     };
     const auto invariant = [&](Word r) {
         if (r == 0)
@@ -1286,14 +1159,7 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
         const BasicBlock &block = blocks[m];
         const Instr &last =
             cfg_.instrs()[block.firstInstr + block.numInstrs - 1];
-        if (last.d.cls != InstrClass::kBranch)
-            continue;
-        // The branch must run every iteration: header or the unique
-        // back-edge source (its taken/fallthrough includes header).
-        const bool isBackEdgeSrc =
-            std::find(block.succs.begin(), block.succs.end(), header) !=
-            block.succs.end();
-        if (m != header && !isBackEdgeSrc)
+        if (last.d.cls != InstrClass::kBranch || !onEveryCycle(m))
             continue;
         std::size_t outside = kNoBlock;
         for (std::size_t s : block.succs)
@@ -1382,15 +1248,28 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
         // The step must walk the iv towards violating the continue
         // predicate; the +2 trip slack below absorbs the <= / >=
         // off-by-one and the final bottom-test execution.
-        std::int64_t span;
-        if (s > 0 && (rel == Rel::kLt || rel == Rel::kLe ||
-                      rel == Rel::kNe))
+        std::int64_t span = 0;
+        if (rel == Rel::kNe) {
+            // != walks the 32-bit ring: every start must sit a nonzero
+            // multiple of the step short of every bound, or the iv
+            // steps over it (or, starting on it, wraps all the way).
+            const std::uint32_t stride = std::uint32_t(s > 0 ? s : -s);
+            bool lands = true;
+            for (std::uint32_t i : init.consts)
+                for (std::uint32_t b : bound.consts) {
+                    const std::uint32_t d = s > 0 ? b - i : i - b;
+                    lands = lands && d != 0 && d % stride == 0;
+                    span = std::max<std::int64_t>(span, d);
+                }
+            if (!lands)
+                continue;
+        } else if (s > 0 && (rel == Rel::kLt || rel == Rel::kLe)) {
             span = boundHi - initLo;
-        else if (s < 0 && (rel == Rel::kGt || rel == Rel::kGe ||
-                           rel == Rel::kNe))
+        } else if (s < 0 && (rel == Rel::kGt || rel == Rel::kGe)) {
             span = initHi - boundLo;
-        else
+        } else {
             continue; // step runs away from the bound
+        }
         if (span < 0)
             span = 0;
         const std::uint64_t trips =
@@ -1439,48 +1318,17 @@ Analysis::marksCutCycles(std::size_t scc)
     const auto memo = marksCutMemo_.find(scc);
     if (memo != marksCutMemo_.end())
         return memo->second;
-    // Kahn's algorithm over the SCC's internal edges with mark-block
-    // out-edges removed: the cut breaks every cycle iff the remaining
-    // subgraph is acyclic (all members drain).
+    // The cut breaks every cycle iff the SCC minus mark-block
+    // out-edges is acyclic.
     const auto &blocks = cfg_.blocks();
     const std::vector<std::size_t> &members = cfg_.sccMembers(scc);
-    std::map<std::size_t, std::size_t> indeg;
-    bool anyMark = false;
-    for (std::size_t m : members) {
-        indeg.emplace(m, 0);
-        if (blocks[m].endsInMark)
-            anyMark = true;
-    }
-    bool result = false;
-    if (anyMark) {
-        for (std::size_t m : members) {
-            if (blocks[m].endsInMark)
-                continue;
-            for (std::size_t s : blocks[m].succs) {
-                const auto it = indeg.find(s);
-                if (it != indeg.end())
-                    ++it->second;
-            }
-        }
-        std::vector<std::size_t> ready;
-        for (const auto &[m, deg] : indeg)
-            if (deg == 0)
-                ready.push_back(m);
-        std::size_t drained = 0;
-        while (!ready.empty()) {
-            const std::size_t m = ready.back();
-            ready.pop_back();
-            ++drained;
-            if (blocks[m].endsInMark)
-                continue;
-            for (std::size_t s : blocks[m].succs) {
-                const auto it = indeg.find(s);
-                if (it != indeg.end() && --it->second == 0)
-                    ready.push_back(s);
-            }
-        }
-        result = drained == members.size();
-    }
+    const bool result =
+        std::any_of(members.begin(), members.end(),
+                    [&](std::size_t m) { return blocks[m].endsInMark; }) &&
+        acyclicWithout(cfg_, members,
+                       [&](std::size_t from, std::size_t) {
+                           return blocks[from].endsInMark;
+                       });
     marksCutMemo_[scc] = result;
     return result;
 }

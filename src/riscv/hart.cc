@@ -27,6 +27,35 @@ loadDirect(const std::uint8_t *p, unsigned bytes)
 
 } // namespace
 
+std::uint64_t
+Hart::CycleCosts::worstCase(const Decoded &d) const
+{
+    switch (d.op) {
+#define FS_RV_COST_ALU(name, cost_field, result)                       \
+      case Mnemonic::k##name:                                          \
+        return cost_field;
+      FS_RV_ALU_OPS(FS_RV_COST_ALU)
+#undef FS_RV_COST_ALU
+      case Mnemonic::kIllegal:
+        return 0;
+      case Mnemonic::kFsMark:
+        return alu;
+      default:
+        break;
+    }
+    switch (d.cls) {
+      case InstrClass::kLoad:
+      case InstrClass::kStore: return loadStore;
+      case InstrClass::kBranch:
+      case InstrClass::kJal:
+      case InstrClass::kJalr: return branchTaken;
+      case InstrClass::kCsr:
+      case InstrClass::kCustom: return csr;
+      case InstrClass::kSystem: return trap;
+      default: return alu; // lui, auipc, immediate ops, fence
+    }
+}
+
 FsCoprocessor::~FsCoprocessor() = default;
 
 Hart::Hart(MemoryDevice &bus)
@@ -294,7 +323,7 @@ Hart::translate()
         op.rs1 = std::uint8_t(d.rs1);
         op.rs2 = std::uint8_t(d.rs2);
         op.imm = d.imm;
-        op.cost = std::uint32_t(costs_.alu);
+        op.cost = std::uint32_t(costs_.worstCase(d));
         // Pure ALU writes to x0 are architectural no-ops: lower them
         // to kNop (cost preserved) so every other ALU handler may
         // write regs[rd] unguarded.
@@ -312,19 +341,13 @@ Hart::translate()
             alu(DbtOpcode::kConst);
             op.imm = std::int32_t(pc + std::uint32_t(d.imm));
             break;
-#define FS_DBT_XLATE_ALU(name, cost_field, result)                     \
+#define FS_DBT_XLATE_ALU(name, ...)                                    \
           case Mnemonic::k##name:                                      \
             alu(DbtOpcode::k##name);                                   \
-            op.cost = std::uint32_t(costs_.cost_field);                \
             break;
           FS_RV_ALU_OPS(FS_DBT_XLATE_ALU)
+          FS_RV_ALU_IMM_OPS(FS_DBT_XLATE_ALU)
 #undef FS_DBT_XLATE_ALU
-#define FS_DBT_XLATE_IMM(name, reg_form)                               \
-          case Mnemonic::k##name:                                      \
-            alu(DbtOpcode::k##name);                                   \
-            break;
-          FS_RV_ALU_IMM_OPS(FS_DBT_XLATE_IMM)
-#undef FS_DBT_XLATE_IMM
           case Mnemonic::kFence:
             op.opcode = DbtOpcode::kNop;
             break;
@@ -334,14 +357,12 @@ Hart::translate()
 #define FS_DBT_XLATE_LOAD(name, bytes, result)                         \
           case Mnemonic::k##name:                                      \
             op.opcode = DbtOpcode::k##name;                            \
-            op.cost = std::uint32_t(costs_.loadStore);                 \
             break;
           FS_RV_LOAD_OPS(FS_DBT_XLATE_LOAD)
 #undef FS_DBT_XLATE_LOAD
 #define FS_DBT_XLATE_STORE(name, bytes)                                \
           case Mnemonic::k##name:                                      \
             op.opcode = DbtOpcode::k##name;                            \
-            op.cost = std::uint32_t(costs_.loadStore);                 \
             op.aux = pc + 4; /* exit pc if the store forces a bail-out */ \
             break;
           FS_RV_STORE_OPS(FS_DBT_XLATE_STORE)
@@ -350,7 +371,8 @@ Hart::translate()
           case Mnemonic::k##name:                                      \
             op.opcode = DbtOpcode::k##name;                            \
             op.imm = std::int32_t(pc + std::uint32_t(d.imm));          \
-            op.cost2 = std::uint32_t(costs_.branchTaken);              \
+            op.cost2 = op.cost; /* taken */                            \
+            op.cost = std::uint32_t(costs_.alu); /* not taken */       \
             break;
           FS_RV_BRANCH_OPS(FS_DBT_XLATE_BRANCH)
 #undef FS_DBT_XLATE_BRANCH
@@ -358,13 +380,11 @@ Hart::translate()
             op.opcode = DbtOpcode::kJal;
             op.imm = std::int32_t(pc + std::uint32_t(d.imm)); // abs target
             op.aux = pc + 4; // link value
-            op.cost = std::uint32_t(costs_.branchTaken);
             terminal = true;
             break;
           case Mnemonic::kJalr:
             op.opcode = DbtOpcode::kJalr;
             op.aux = pc + 4; // link value
-            op.cost = std::uint32_t(costs_.branchTaken);
             terminal = true;
             break;
           default:

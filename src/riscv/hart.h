@@ -65,6 +65,15 @@ class Hart
         std::uint64_t div = 32;
         std::uint64_t csr = 2;
         std::uint64_t trap = 4;
+
+        /**
+         * The most cycles step() can charge for executing @p d:
+         * branches count as taken, wfi as a trap (its wake-up), an
+         * illegal word as 0. The DBT's per-op costs and fs-lint's
+         * worst-case bounds both come from here; executeDecoded's
+         * inline charges are the reference it is tested against.
+         */
+        std::uint64_t worstCase(const Decoded &d) const;
     };
 
     /** Dense CSR file indices (see csrIndexOf). */

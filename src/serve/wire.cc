@@ -490,8 +490,7 @@ load(Reader &r, swarm::SwarmAggregates &a)
 
 /**
  * Request kind -> reply kind. Rows follow the Response alternatives
- * (Request lacks only the trailing ErrorResult); the control-plane
- * kinds come last.
+ * (Request lacks only the trailing ErrorResult).
  */
 constexpr std::pair<MsgKind, MsgKind> kKinds[] = {
     {MsgKind::kRoSweep, MsgKind::kRoSweepReply},
@@ -502,12 +501,10 @@ constexpr std::pair<MsgKind, MsgKind> kKinds[] = {
     {MsgKind::kLintImage, MsgKind::kLintImageReply},
     {MsgKind::kSwarm, MsgKind::kSwarmReply},
     {MsgKind::kErrorReply, MsgKind::kErrorReply},
-    {MsgKind::kPing, MsgKind::kPingReply},
-    {MsgKind::kCacheInsert, MsgKind::kCacheInsertReply},
 };
 constexpr std::size_t kRequestKinds = std::variant_size_v<Request>;
 using LastResponse = std::variant_alternative_t<kRequestKinds, Response>;
-static_assert(std::size(kKinds) == kRequestKinds + 3);
+static_assert(std::size(kKinds) == kRequestKinds + 1);
 static_assert(std::variant_size_v<Response> == kRequestKinds + 1 &&
               std::is_same_v<LastResponse, ErrorResult>);
 
@@ -582,15 +579,6 @@ MsgKind
 responseKind(const Response &resp)
 {
     return kKinds[resp.index()].second;
-}
-
-MsgKind
-replyKindFor(MsgKind request_kind)
-{
-    const std::size_t row =
-        kindRow(request_kind, false, std::size(kKinds));
-    return row < std::size(kKinds) ? kKinds[row].second
-                                   : MsgKind::kErrorReply;
 }
 
 int

@@ -402,9 +402,6 @@ using Response =
 MsgKind requestKind(const Request &req);
 MsgKind responseKind(const Response &resp);
 
-/** Reply kind matching a request kind (kErrorReply for unknown). */
-MsgKind replyKindFor(MsgKind request_kind);
-
 /**
  * Shedding priority of a request kind under overload: higher values
  * are kept longer. Heavy batch jobs (DSE shards, torture campaigns)

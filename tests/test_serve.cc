@@ -547,11 +547,34 @@ TEST(Wire, RequestKeyDistinguishesKindAndContent)
 
 // --- frozen v3 wire bytes --------------------------------------------
 
-/** One canonical payload, named for the golden table. */
+/**
+ * One canonical payload, named for the golden table, with the codec
+ * round trip of its kind: decode a payload, then re-encode it
+ * (false, with the reason, when the decoder refuses it).
+ */
 struct GoldenPayload {
+    using RoundTrip = std::function<bool(const std::vector<std::uint8_t> &,
+                                         std::vector<std::uint8_t> &,
+                                         std::string &)>;
     std::string name;
     std::vector<std::uint8_t> bytes;
+    RoundTrip roundTrip;
 };
+
+template <class T>
+GoldenPayload
+controlGolden(const std::string &name, const T &msg)
+{
+    return {name, encodeControl(msg),
+            [](const std::vector<std::uint8_t> &in,
+               std::vector<std::uint8_t> &out, std::string &err) {
+                T decoded;
+                if (!decodeControl(in.data(), in.size(), decoded, err))
+                    return false;
+                out = encodeControl(decoded);
+                return true;
+            }};
+}
 
 /**
  * One fixed request and one fixed reply of each of the nine message
@@ -564,11 +587,35 @@ goldenPayloads()
     std::vector<GoldenPayload> out;
     const auto request = [&out](const std::string &name,
                                 const Request &req) {
-        out.push_back({name, encodeRequestPayload(req)});
+        const MsgKind kind = requestKind(req);
+        out.push_back({name, encodeRequestPayload(req),
+                       [kind](const std::vector<std::uint8_t> &in,
+                              std::vector<std::uint8_t> &bytes,
+                              std::string &err) {
+                           Request decoded;
+                           if (!decodeRequestPayload(kind, in.data(),
+                                                     in.size(), decoded,
+                                                     err))
+                               return false;
+                           bytes = encodeRequestPayload(decoded);
+                           return true;
+                       }});
     };
     const auto reply = [&out](const std::string &name,
                               const Response &resp) {
-        out.push_back({name, encodeResponsePayload(resp)});
+        const MsgKind kind = responseKind(resp);
+        out.push_back({name, encodeResponsePayload(resp),
+                       [kind](const std::vector<std::uint8_t> &in,
+                              std::vector<std::uint8_t> &bytes,
+                              std::string &err) {
+                           Response decoded;
+                           if (!decodeResponsePayload(kind, in.data(),
+                                                      in.size(), decoded,
+                                                      err))
+                               return false;
+                           bytes = encodeResponsePayload(decoded);
+                           return true;
+                       }});
     };
 
     RoSweepJob ro;
@@ -637,16 +684,33 @@ goldenPayloads()
 
     PingJob ping;
     ping.nonce = 0x0123456789abcdefull;
-    out.push_back({"ping", encodeControl(ping)});
+    out.push_back(controlGolden("ping", ping));
     // One whole frame pins the v3 header layout too.
     out.push_back(
-        {"ping_frame", frameMessage(MsgKind::kPing, out.back().bytes)});
+        {"ping_frame", frameMessage(MsgKind::kPing, out.back().bytes),
+         [](const std::vector<std::uint8_t> &in,
+            std::vector<std::uint8_t> &bytes, std::string &err) {
+             Frame frame;
+             std::size_t consumed = 0;
+             PingJob decoded;
+             if (parseFrame(in.data(), in.size(), frame, consumed) !=
+                     FrameStatus::kOk ||
+                 consumed != in.size()) {
+                 err = "ping frame does not parse";
+                 return false;
+             }
+             if (!decodeControl(frame.payload.data(),
+                                frame.payload.size(), decoded, err))
+                 return false;
+             bytes = frameMessage(frame.kind, encodeControl(decoded));
+             return true;
+         }});
 
     CacheInsertJob insert;
     insert.key = 0xfeedfacecafebeefull;
     insert.kind = std::uint16_t(MsgKind::kGuestRunReply);
     insert.payload = {1, 2, 3, 4};
-    out.push_back({"cache_insert", encodeControl(insert)});
+    out.push_back(controlGolden("cache_insert", insert));
 
     RoSweepResult ro_res;
     ro_res.frequenciesHz = {1.25e6, 2.5e6, 5e6};
@@ -726,11 +790,11 @@ goldenPayloads()
     pong.queueDepth = 5;
     pong.cacheEntries = 17;
     pong.draining = 1;
-    out.push_back({"ping_reply", encodeControl(pong)});
+    out.push_back(controlGolden("ping_reply", pong));
 
     CacheInsertResult stored;
     stored.stored = 1;
-    out.push_back({"cache_insert_reply", encodeControl(stored)});
+    out.push_back(controlGolden("cache_insert_reply", stored));
 
     ErrorResult error;
     error.code = ErrorCode::kBadRequest;
@@ -749,6 +813,16 @@ toHex(const std::vector<std::uint8_t> &bytes)
         hex += kDigits[b & 0xf];
     }
     return hex;
+}
+
+std::vector<std::uint8_t>
+fromHex(const std::string &hex)
+{
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        bytes.push_back(
+            std::uint8_t(std::stoul(hex.substr(i, 2), nullptr, 16)));
+    return bytes;
 }
 
 /** The v3 payload bytes, frozen: any codec change that moves a byte
@@ -1020,6 +1094,19 @@ TEST(Wire, V3PayloadBytesAreFrozen)
         const auto it = kGoldenHex.find(g.name);
         ASSERT_NE(it, kGoldenHex.end()) << g.name;
         EXPECT_EQ(toHex(g.bytes), it->second) << g.name;
+        // Every golden decodes and re-encodes to the same bytes, except
+        // swarm_reply: it pins encoder bytes (zero blocks for eight
+        // devices) that no receiver accepts.
+        std::vector<std::uint8_t> again;
+        std::string err;
+        const bool decoded = g.roundTrip(fromHex(it->second), again, err);
+        if (g.name == "swarm_reply") {
+            EXPECT_FALSE(decoded);
+            EXPECT_EQ(err, "swarm block count does not match device count");
+            continue;
+        }
+        ASSERT_TRUE(decoded) << g.name << ": " << err;
+        EXPECT_EQ(toHex(again), it->second) << g.name;
     }
     // The guest-run tier byte is the only difference between the two
     // guest requests: 1 = DBT allowed, 0 = interpreter only.

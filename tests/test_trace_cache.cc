@@ -9,8 +9,10 @@
  * RV32IM programs run both ways (including mcycle/minstret probes
  * across strict ops, choppy event-horizon budgets, and budgets
  * smaller than one superblock's worst case, which leave the whole
- * tail to the interpreter), and self-modifying code (a store into
- * translated code must flush). DBT-cache-specific mechanics
+ * tail to the interpreter), every interpreted instruction's charge
+ * against Hart::CycleCosts::worstCase (the DBT's and fs-lint's cost
+ * source), and self-modifying code (a store into translated code
+ * must flush). DBT-cache-specific mechanics
  * (chaining, eviction, unlink) live in test_dbt.cc.
  */
 
@@ -560,6 +562,65 @@ TEST(TierFuzz, BudgetsBelowOneSuperblockStayExact)
             }
         }
     }
+}
+
+/**
+ * Step @p code on the interpreter and check every instruction's
+ * charge against Hart::CycleCosts::worstCase, the mapping the DBT and
+ * fs-lint price instructions with: equal for non-branches and taken
+ * branches, no more for not-taken branches and wfi.
+ */
+void
+expectStepChargesMatchWorstCase(const std::vector<riscv::Word> &code,
+                                const std::vector<std::uint8_t> &data,
+                                const std::string &label)
+{
+    riscv::Ram ram(kRamSize);
+    ram.loadWords(0, code);
+    std::copy(data.begin(), data.end(),
+              ram.data().begin() + kDataBase);
+    riscv::Hart hart(ram);
+    configureHart(hart, Mode::kInterp);
+    hart.reset(0);
+    const riscv::Hart::CycleCosts costs;
+    std::size_t stepped = 0;
+    while (!hart.halted() && !hart.waitingForInterrupt() &&
+           stepped < 100'000) {
+        const std::uint32_t pc = hart.pc();
+        const riscv::Decoded d = riscv::decode(ram.read(pc, 4));
+        const std::uint64_t charged = hart.step();
+        const std::uint64_t worst = costs.worstCase(d);
+        const bool fellThrough =
+            d.cls == riscv::InstrClass::kBranch && hart.pc() == pc + 4;
+        if (fellThrough || d.op == riscv::Mnemonic::kWfi)
+            EXPECT_LE(charged, worst) << label << " @" << pc << ": "
+                                      << riscv::disassemble(d);
+        else
+            EXPECT_EQ(charged, worst) << label << " @" << pc << ": "
+                                      << riscv::disassemble(d);
+        ++stepped;
+    }
+    EXPECT_TRUE(hart.halted() || hart.waitingForInterrupt()) << label;
+}
+
+TEST(TierFuzz, StepChargesMatchTheSharedCostMapping)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        const FuzzCase fc = makeFuzzCase(seed);
+        expectStepChargesMatchWorstCase(fc.code, fc.data,
+                                        "seed " + std::to_string(seed));
+    }
+    // The system ops the random programs leave out: an unhandled
+    // ecall, an mret to the next word, then wfi.
+    using namespace riscv;
+    Assembler as(0);
+    as.emit(ecall());
+    as.emit(auipc(kT0, 0));
+    as.emit(addi(kT0, kT0, 16)); // the wfi
+    as.emit(csrrw(kZero, kCsrMepc, kT0));
+    as.emit(mret());
+    as.emit(wfi());
+    expectStepChargesMatchWorstCase(as.finalize(), {}, "system ops");
 }
 
 // ---------------------------------------------------------------------
