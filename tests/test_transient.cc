@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
 #include "circuit/transient_ro.h"
+#include "util/hash.h"
 #include "util/stats.h"
 
 namespace fs {
@@ -161,6 +163,84 @@ TEST(TransientRo, RejectsSillyJitter)
     RingOscillator ro(Technology::node90(), 21);
     EXPECT_DEATH(TransientRo(queue, ro, [](double) { return 0.9; }, 0.9),
                  "jitter");
+}
+
+// Frozen edge streams: per case, three back-to-back 25 us windows,
+// each window's edge count and one hashImage64 digest chained over
+// the edgeTimes() bytes after every window. Any change to delay
+// draws, window boundaries, starvation polling or history trimming
+// moves a count or the digest.
+struct GoldenCase {
+    const char *name;
+    std::size_t stages;
+    double jitter;
+    double (*rail)(double);
+    std::size_t historyLimit;
+    std::uint64_t counts[3];
+    std::uint64_t digest;
+};
+
+double
+steadyRail(double)
+{
+    return 0.9;
+}
+
+double
+fastRail(double)
+{
+    return 1.0;
+}
+
+// 0.9 V collapsing to 0.6 V over the first 25 us, then flat.
+double
+droopRail(double t)
+{
+    return 0.9 - 0.3 * std::min(1.0, t / 25e-6);
+}
+
+// 4 us on, 2 us off: each outage starves the ring, which then polls
+// the rail every 10 us and so resumes mid on-phase, skipping one.
+double
+onOffRail(double t)
+{
+    return std::fmod(t, 6e-6) < 4e-6 ? 0.9 : 0.05;
+}
+
+TEST(TransientRo, GoldenEdgeStreams)
+{
+    const GoldenCase cases[] = {
+        {"steady", 21, 0.0, steadyRail, 4096, {307, 307, 307},
+         14308672665962976755ull},
+        {"steady_jitter", 21, 0.05, steadyRail, 4096, {307, 307, 307},
+         2883869622900025400ull},
+        {"droop", 21, 0.0, droopRail, 4096, {249, 177, 177},
+         2824641700828836538ull},
+        {"droop_jitter", 21, 0.05, droopRail, 4096, {249, 178, 177},
+         4625795473200365626ull},
+        {"on_off", 21, 0.0, onOffRail, 4096, {74, 61, 61},
+         15166305809067685864ull},
+        {"on_off_jitter", 21, 0.05, onOffRail, 4096, {74, 61, 62},
+         5330560131572847257ull},
+        {"history64", 3, 0.05, fastRail, 64, {2347, 2346, 2347},
+         11945216274269087925ull},
+    };
+    for (const auto &c : cases) {
+        sim::EventQueue queue;
+        RingOscillator ro(Technology::node90(), c.stages);
+        TransientRo transient(queue, ro, c.rail, c.jitter, /*seed=*/11);
+        transient.setHistoryLimit(c.historyLimit);
+        std::uint64_t digest = util::kFnvOffsetBasis;
+        for (int w = 0; w < 3; ++w) {
+            EXPECT_EQ(transient.runWindow(25e-6), c.counts[w])
+                << c.name << " window " << w;
+            const auto &times = transient.edgeTimes();
+            digest = util::hashImage64(times.data(),
+                                       times.size() * sizeof(double),
+                                       digest);
+        }
+        EXPECT_EQ(digest, c.digest) << c.name;
+    }
 }
 
 class JitterSweep : public ::testing::TestWithParam<double>
