@@ -7,99 +7,83 @@
 namespace fs {
 namespace circuit {
 
-using sim::toSeconds;
-using sim::toTicks;
+namespace {
 
-TransientRo::TransientRo(sim::EventQueue &queue, const RingOscillator &ro,
-                         SupplySource supply, double jitter_sigma,
-                         std::uint64_t seed)
-    : sim::SimObject(queue, "transient-ro"), ro_(ro),
-      supply_(std::move(supply)), jitter_sigma_(jitter_sigma), rng_(seed)
+// Time is kept in integer ticks of 1 picosecond, which resolves RO
+// periods (nanoseconds) with room to spare.
+using Tick = std::uint64_t;
+
+constexpr Tick kTicksPerSecond = 1'000'000'000'000ULL;
+
+constexpr Tick
+toTicks(double seconds)
+{
+    return Tick(seconds * double(kTicksPerSecond) + 0.5);
+}
+
+constexpr double
+toSeconds(Tick ticks)
+{
+    return double(ticks) / double(kTicksPerSecond);
+}
+
+/** How often a starved ring re-reads its rail. */
+constexpr Tick kStarvedPoll = toTicks(10e-6);
+
+} // namespace
+
+TransientRo::TransientRo(const RingOscillator &ro, SupplySource supply,
+                         double jitter_sigma, std::uint64_t seed)
+    : ro_(ro), supply_(std::move(supply)), jitter_sigma_(jitter_sigma),
+      rng_(seed)
 {
     FS_ASSERT(jitter_sigma >= 0.0 && jitter_sigma < 0.5,
               "unreasonable jitter fraction");
 }
 
-void
-TransientRo::enable()
-{
-    if (enabled_)
-        return;
-    enabled_ = true;
-    ++generation_;
-    // The enable NAND releases the ring from a known state
-    // (Section III-C): the first transition starts at stage 0 with
-    // the output low.
-    stage_ = 0;
-    output_high_ = false;
-    scheduleNext();
-}
-
-void
-TransientRo::disable()
-{
-    if (!enabled_)
-        return;
-    enabled_ = false;
-    ++generation_; // squash the in-flight transition
-}
-
-void
-TransientRo::scheduleNext()
-{
-    const double t = toSeconds(now());
-    const double v = supply_(t);
-    if (!ro_.oscillates(v)) {
-        // Starved of voltage: poll again after a generous delay to
-        // see if the rail recovered (the ring holds state meanwhile).
-        const std::uint64_t gen = generation_;
-        queue_.scheduleIn(toTicks(10e-6), [this, gen] {
-            if (enabled_ && gen == generation_)
-                scheduleNext();
-        });
-        return;
-    }
-    double delay = ro_.gateDelay(v);
-    if (jitter_sigma_ > 0.0)
-        delay *= std::max(0.1, 1.0 + rng_.gaussian(0.0, jitter_sigma_));
-    const std::uint64_t gen = generation_;
-    queue_.scheduleIn(std::max<sim::Tick>(1, toTicks(delay)),
-                      [this, gen] {
-                          if (enabled_ && gen == generation_)
-                              onStageFlip();
-                      });
-}
-
-void
-TransientRo::onStageFlip()
-{
-    ++stage_;
-    if (stage_ >= ro_.stages()) {
-        // The transition reached the feedback node: the ring output
-        // toggles and a fresh transition starts around the loop.
-        stage_ = 0;
-        output_high_ = !output_high_;
-        if (output_high_) {
-            ++edges_;
-            if (edge_times_.size() >= history_limit_) {
-                edge_times_.erase(edge_times_.begin(),
-                                  edge_times_.begin() +
-                                      std::ptrdiff_t(history_limit_ / 2));
-            }
-            edge_times_.push_back(toSeconds(now()));
-        }
-    }
-    scheduleNext();
-}
-
 std::uint64_t
 TransientRo::runWindow(double t_en)
 {
-    resetCount();
-    enable();
-    queue_.run(now() + toTicks(t_en));
-    disable();
-    return edgeCount();
+    // The enable NAND releases the ring from a known state: the first
+    // transition starts at stage 0 with the output low.
+    std::size_t stage = 0;
+    bool outputHigh = false;
+    edges_ = 0;
+    const Tick end = now_ + toTicks(t_en);
+    for (Tick t = now_;;) {
+        // Each step's delay is set by the rail at the step's start; a
+        // starved ring holds its state and re-reads the rail later.
+        const double v = supply_(toSeconds(t));
+        const bool starved = !ro_.oscillates(v);
+        if (starved) {
+            t += kStarvedPoll;
+        } else {
+            double delay = ro_.gateDelay(v);
+            if (jitter_sigma_ > 0.0)
+                delay *=
+                    std::max(0.1, 1.0 + rng_.gaussian(0.0, jitter_sigma_));
+            t += std::max<Tick>(1, toTicks(delay));
+        }
+        if (t > end)
+            break; // the in-flight transition dies with the window
+        if (starved || ++stage < ro_.stages())
+            continue;
+        // The transition reached the feedback node: the ring output
+        // toggles and a fresh transition starts around the loop.
+        stage = 0;
+        outputHigh = !outputHigh;
+        if (!outputHigh)
+            continue;
+        ++edges_;
+        if (edge_times_.size() >= history_limit_) {
+            edge_times_.erase(edge_times_.begin(),
+                              edge_times_.begin() +
+                                  std::ptrdiff_t(history_limit_ / 2));
+        }
+        edge_times_.push_back(toSeconds(t));
+    }
+    now_ = end;
+    return edges_;
 }
 
 } // namespace circuit

@@ -17,10 +17,6 @@
 #include "util/table.h"
 #include "util/units.h"
 
-// Event kernel
-#include "sim/event_queue.h"
-#include "sim/sim_object.h"
-
 // Circuit substrate
 #include "circuit/edge_counter.h"
 #include "circuit/level_shifter.h"
@@ -50,7 +46,6 @@
 #include "core/failure_sentinels.h"
 #include "core/fs_config.h"
 #include "core/performance_model.h"
-#include "core/sampling_engine.h"
 
 // Design-space exploration
 #include "dse/fs_design_space.h"

@@ -3,7 +3,7 @@
  * Unit and property tests for the core library: configuration
  * validation, the analytical performance model, the FailureSentinels
  * facade (enrollment, measurement accuracy, thresholds, process
- * variation), and the event-driven sampling engine.
+ * variation).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "core/failure_sentinels.h"
 #include "core/performance_model.h"
-#include "core/sampling_engine.h"
 #include "util/logging.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
@@ -497,107 +496,6 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-// ---------------------------------------------------------------------
-// Sampling engine
-// ---------------------------------------------------------------------
-
-class SamplingEngineTest : public ::testing::Test
-{
-  protected:
-    SamplingEngineTest()
-        : chain_(circuit::Technology::node90(), circuit::ChainSpec{})
-    {
-    }
-
-    sim::EventQueue queue_;
-    circuit::MonitorChain chain_;
-};
-
-TEST_F(SamplingEngineTest, ProducesOneSamplePerPeriod)
-{
-    SamplingEngine engine(queue_, chain_, 10e-6, 1e3,
-                          [](double) { return 2.4; });
-    engine.start();
-    queue_.run(sim::toTicks(10.5e-3));
-    EXPECT_EQ(engine.samplesTaken(), 10u);
-    ASSERT_TRUE(engine.lastSample().has_value());
-    EXPECT_EQ(engine.lastSample()->count,
-              chain_.sample(2.4, 10e-6).count);
-}
-
-TEST_F(SamplingEngineTest, RejectsDutyOverOne)
-{
-    EXPECT_THROW(SamplingEngine(queue_, chain_, 2e-3, 1e3,
-                                [](double) { return 2.4; }),
-                 FatalError);
-}
-
-TEST_F(SamplingEngineTest, ThresholdInterruptFiresOnceOnDroop)
-{
-    // Supply ramps down; the interrupt fires exactly once when the
-    // count crosses the threshold.
-    const double v0 = 2.4;
-    const double slope = 50.0; // V/s decay
-    SamplingEngine engine(queue_, chain_, 10e-6, 1e3, [&](double t) {
-        return std::max(1.8, v0 - slope * t);
-    });
-    const auto threshold = chain_.sample(2.1, 10e-6).count;
-    int fired = 0;
-    double fired_voltage = 0.0;
-    engine.setCountThreshold(threshold, [&](const auto &s) {
-        ++fired;
-        fired_voltage = s.supplyVoltage;
-    });
-    engine.start();
-    queue_.run(sim::toTicks(20e-3));
-    EXPECT_EQ(fired, 1);
-    EXPECT_LE(fired_voltage, 2.1 + 0.06);
-}
-
-TEST_F(SamplingEngineTest, SampleCallbackObservesEverySample)
-{
-    SamplingEngine engine(queue_, chain_, 10e-6, 2e3,
-                          [](double) { return 3.0; });
-    std::size_t seen = 0;
-    engine.onSample([&](const auto &) { ++seen; });
-    engine.start();
-    queue_.run(sim::toTicks(5e-3));
-    EXPECT_EQ(seen, engine.samplesTaken());
-    EXPECT_EQ(seen, 10u);
-}
-
-TEST_F(SamplingEngineTest, StopHaltsSampling)
-{
-    SamplingEngine engine(queue_, chain_, 10e-6, 1e3,
-                          [](double) { return 2.4; });
-    engine.start();
-    queue_.run(sim::toTicks(3.5e-3));
-    engine.stop();
-    const auto taken = engine.samplesTaken();
-    queue_.run(sim::toTicks(10e-3));
-    EXPECT_EQ(engine.samplesTaken(), taken);
-    EXPECT_FALSE(engine.running());
-}
-
-TEST_F(SamplingEngineTest, ChargeAccountingGrowsWithDuty)
-{
-    SamplingEngine low(queue_, chain_, 10e-6, 1e3,
-                       [](double) { return 2.4; });
-    low.start();
-    queue_.run(sim::toTicks(100e-3));
-    low.stop();
-
-    sim::EventQueue queue2;
-    SamplingEngine high(queue2, chain_, 100e-6, 1e3,
-                        [](double) { return 2.4; });
-    high.start();
-    queue2.run(sim::toTicks(100e-3));
-    high.stop();
-
-    EXPECT_GT(low.chargeConsumed(), 0.0);
-    EXPECT_GT(high.chargeConsumed(), 2.0 * low.chargeConsumed());
-}
 
 } // namespace
 } // namespace core

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the gate-level transient RO simulation: the event-driven
+ * Tests for the gate-level transient RO simulation: the simulated
  * ring must agree edge-for-edge with the closed-form Eq. 1 model,
- * respond to supply droop within a window, expose jitter, and honor
- * enable-window semantics.
+ * respond to supply droop within a window, expose jitter, and keep
+ * back-to-back windows independent.
  */
 
 #include <gtest/gtest.h>
@@ -33,9 +33,8 @@ class TransientRoTest : public ::testing::TestWithParam<TransientCase>
 TEST_P(TransientRoTest, WindowCountMatchesAnalyticalModel)
 {
     const auto [tech, stages, volts] = GetParam();
-    sim::EventQueue queue;
     RingOscillator ro(*tech, stages);
-    TransientRo transient(queue, ro, [v = volts](double) { return v; });
+    TransientRo transient(ro, [v = volts](double) { return v; });
 
     const double t_en = 20e-6;
     const auto count = transient.runWindow(t_en);
@@ -63,9 +62,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TransientRo, EdgePeriodMatchesFrequency)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.9; });
+    TransientRo transient(ro, [](double) { return 0.9; });
     transient.runWindow(50e-6);
 
     const auto &times = transient.edgeTimes();
@@ -75,15 +73,14 @@ TEST(TransientRo, EdgePeriodMatchesFrequency)
         periods.add(times[i] - times[i - 1]);
     EXPECT_NEAR(periods.mean(), 1.0 / ro.frequency(0.9),
                 0.01 / ro.frequency(0.9));
-    // Noiseless ring: periods are identical to kernel resolution.
+    // Noiseless ring: periods are identical to tick resolution.
     EXPECT_LT(periods.stddev(), 2e-12);
 }
 
 TEST(TransientRo, JitterSpreadsPeriodsButKeepsMean)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.9; },
+    TransientRo transient(ro, [](double) { return 0.9; },
                           /*jitter_sigma=*/0.05, /*seed=*/7);
     transient.runWindow(200e-6);
 
@@ -99,26 +96,12 @@ TEST(TransientRo, JitterSpreadsPeriodsButKeepsMean)
     EXPECT_LT(periods.stddev(), 0.05 * nominal);
 }
 
-TEST(TransientRo, DisableSquashesInFlightTransitions)
-{
-    sim::EventQueue queue;
-    RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.9; });
-    const auto count = transient.runWindow(10e-6);
-    EXPECT_GT(count, 0u);
-    // After disable, draining the queue must not add edges.
-    queue.run();
-    EXPECT_EQ(transient.edgeCount(), count);
-    EXPECT_FALSE(transient.enabled());
-}
-
 TEST(TransientRo, DroopingSupplySlowsTheRing)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
     // Rail collapses linearly from 0.9 V to 0.6 V across the window.
     const double t_en = 40e-6;
-    TransientRo transient(queue, ro, [t_en](double t) {
+    TransientRo transient(ro, [t_en](double t) {
         return 0.9 - 0.3 * std::min(1.0, t / t_en);
     });
     const auto count = transient.runWindow(t_en);
@@ -130,17 +113,15 @@ TEST(TransientRo, DroopingSupplySlowsTheRing)
 
 TEST(TransientRo, DeadRailProducesNoEdges)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.05; });
+    TransientRo transient(ro, [](double) { return 0.05; });
     EXPECT_EQ(transient.runWindow(20e-6), 0u);
 }
 
 TEST(TransientRo, BackToBackWindowsAreIndependent)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.9; });
+    TransientRo transient(ro, [](double) { return 0.9; });
     const auto first = transient.runWindow(10e-6);
     const auto second = transient.runWindow(10e-6);
     EXPECT_NEAR(double(first), double(second), 1.0);
@@ -148,9 +129,8 @@ TEST(TransientRo, BackToBackWindowsAreIndependent)
 
 TEST(TransientRo, HistoryLimitBoundsMemory)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 3); // fast ring
-    TransientRo transient(queue, ro, [](double) { return 1.0; });
+    TransientRo transient(ro, [](double) { return 1.0; });
     transient.setHistoryLimit(64);
     transient.runWindow(100e-6);
     EXPECT_LE(transient.edgeTimes().size(), 64u);
@@ -159,9 +139,8 @@ TEST(TransientRo, HistoryLimitBoundsMemory)
 
 TEST(TransientRo, RejectsSillyJitter)
 {
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    EXPECT_DEATH(TransientRo(queue, ro, [](double) { return 0.9; }, 0.9),
+    EXPECT_DEATH(TransientRo(ro, [](double) { return 0.9; }, 0.9),
                  "jitter");
 }
 
@@ -226,9 +205,8 @@ TEST(TransientRo, GoldenEdgeStreams)
          11945216274269087925ull},
     };
     for (const auto &c : cases) {
-        sim::EventQueue queue;
-        RingOscillator ro(Technology::node90(), c.stages);
-        TransientRo transient(queue, ro, c.rail, c.jitter, /*seed=*/11);
+            RingOscillator ro(Technology::node90(), c.stages);
+        TransientRo transient(ro, c.rail, c.jitter, /*seed=*/11);
         transient.setHistoryLimit(c.historyLimit);
         std::uint64_t digest = util::kFnvOffsetBasis;
         for (int w = 0; w < 3; ++w) {
@@ -250,9 +228,8 @@ class JitterSweep : public ::testing::TestWithParam<double>
 TEST_P(JitterSweep, PeriodSpreadGrowsWithGateNoise)
 {
     const double sigma = GetParam();
-    sim::EventQueue queue;
     RingOscillator ro(Technology::node90(), 21);
-    TransientRo transient(queue, ro, [](double) { return 0.9; }, sigma,
+    TransientRo transient(ro, [](double) { return 0.9; }, sigma,
                           99);
     transient.runWindow(200e-6);
     const auto &times = transient.edgeTimes();
