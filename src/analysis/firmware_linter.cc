@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -1245,9 +1246,15 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
         const auto [initLo, initHi] = minMax(init.consts, isSigned);
         const auto [boundLo, boundHi] = minMax(bound.consts, isSigned);
         const std::int64_t s = *step;
+        const std::int64_t domLo = isSigned ? INT32_MIN : 0;
+        const std::int64_t domHi =
+            isSigned ? std::int64_t(INT32_MAX) : std::int64_t(UINT32_MAX);
         // The step must walk the iv towards violating the continue
         // predicate; the +2 trip slack below absorbs the <= / >=
-        // off-by-one and the final bottom-test execution.
+        // off-by-one and the final bottom-test execution. It must also
+        // never carry the iv out of the compare domain -- not from its
+        // entry value, nor from the last value that passes the test --
+        // or the iv wraps around and the loop runs on.
         std::int64_t span = 0;
         if (rel == Rel::kNe) {
             // != walks the 32-bit ring: every start must sit a nonzero
@@ -1264,8 +1271,16 @@ Analysis::sccBound(std::size_t scc, std::uint32_t *headerAddr)
             if (!lands)
                 continue;
         } else if (s > 0 && (rel == Rel::kLt || rel == Rel::kLe)) {
+            const std::int64_t top =
+                std::max(initHi, rel == Rel::kLt ? boundHi - 1 : boundHi);
+            if (top + s > domHi)
+                continue;
             span = boundHi - initLo;
         } else if (s < 0 && (rel == Rel::kGt || rel == Rel::kGe)) {
+            const std::int64_t bottom =
+                std::min(initLo, rel == Rel::kGt ? boundLo + 1 : boundLo);
+            if (bottom + s < domLo)
+                continue;
             span = initHi - boundLo;
         } else {
             continue; // step runs away from the bound

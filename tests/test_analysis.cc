@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -1186,6 +1187,59 @@ TEST(Oracle, GeneratedLoopBoundsHoldForEveryBranchRelation)
     // bounds exactly: the oracle sees a single lost trip.
     EXPECT_GE(bounded, 60u);
     EXPECT_GT(tight, 0u);
+}
+
+TEST(Oracle, LoopsThatWrapTheCompareDomainGetNoBound)
+{
+    // Bottom-tested loops whose iv steps out of the signed or
+    // unsigned compare domain and wraps around: from the last value
+    // that passes the test (these never exit), or from the entry
+    // value (these run ~2^31 trips before the test fails). The
+    // generated-loop oracle cannot observe either, so the linter must
+    // refuse a bound on its own.
+    const std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    const std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    const LoopCase wraps[] = {
+        // relation, ivFirst, shape, init, bound, step
+        {3, false, 2, 0, kMax, 1},    // t0 <= INT32_MAX
+        {5, false, 2, 0, -1, 1},      // t0 <=u UINT32_MAX
+        {3, true, 2, 0, kMin, -1},    // t0 >= INT32_MIN
+        {5, true, 2, 5, 0, -1},       // t0 >=u 0
+        {3, false, 2, kMax, 5, 1},    // t0 = INT32_MAX; t0 <= 5
+        {5, false, 2, -1, 5, 1},      // t0 = UINT32_MAX; t0 <=u 5
+        {3, true, 2, kMin, -5, -1},   // t0 = INT32_MIN; t0 >= -5
+        {5, true, 2, 0, 5, -1},       // t0 = 0; t0 >=u 5
+    };
+    for (const LoopCase &c : wraps) {
+        const LintReport report =
+            lintWith(LintOptions{}, "wrap", loopProgram(c), 0x1000).report;
+        EXPECT_TRUE(report.loopBounds.empty())
+            << "relation " << c.relation << " init " << c.init
+            << " bound " << c.bound << " step " << c.step << ": bounded at "
+            << report.loopBounds[0].trips << " trips";
+    }
+
+    // Stepping exactly onto the domain edge does not wrap: t0 < INT32_MAX
+    // from INT32_MAX - 10 stops at INT32_MAX, bounded and sound.
+    const LoopCase edge{2, true, 2, kMax - 10, kMax, 1};
+    const Linted image = lintWith(LintOptions{}, "edge", loopProgram(edge),
+                                  0x1000);
+    ASSERT_EQ(image.report.loopBounds.size(), 1u);
+    riscv::Ram ram(0x2000);
+    ram.loadWords(0x1000, image.code);
+    riscv::Hart hart(ram);
+    hart.setDbtEnabled(false);
+    hart.reset(0x1000);
+    BoundTracer trace(image);
+    traceRun(
+        hart, {&trace}, [&] { return hart.step(); },
+        [&](std::uint32_t pc) { return ram.read(pc, 4); },
+        [&] { return hart.halted(); }, 20'000);
+    ASSERT_TRUE(hart.halted());
+    expectSound(trace);
+    EXPECT_EQ(trace.loopPasses().at(image.report.loopBounds[0].headerAddr)
+                  .value,
+              10u);
 }
 
 } // namespace
