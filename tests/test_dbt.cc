@@ -7,7 +7,7 @@
  * flushes of translated code, and the FS_NO_DBT /
  * FS_DBT_CACHE_BYTES environment knobs. Tier *equivalence* (interp
  * vs. DBT over random programs, full SoC scenarios, torture
- * campaigns) lives in test_trace_cache.cc.
+ * campaigns) lives in test_tiers.cc.
  */
 
 #include <gtest/gtest.h>
