@@ -1128,6 +1128,25 @@ loopProgram(const LoopCase &c)
     return as.finalize();
 }
 
+/**
+ * Run a loopProgram() image on the interpreter under `trace` for at
+ * most 20,000 steps; returns whether it halted.
+ */
+bool
+runLoop(const Linted &image, BoundTracer &trace)
+{
+    riscv::Ram ram(0x2000);
+    ram.loadWords(0x1000, image.code);
+    riscv::Hart hart(ram);
+    hart.setDbtEnabled(false);
+    hart.reset(0x1000);
+    traceRun(
+        hart, {&trace}, [&] { return hart.step(); },
+        [&](std::uint32_t pc) { return ram.read(pc, 4); },
+        [&] { return hart.halted(); }, 20'000);
+    return hart.halted();
+}
+
 TEST(Oracle, GeneratedLoopBoundsHoldForEveryBranchRelation)
 {
     // Every branch relation in both operand orders and every shape,
@@ -1154,17 +1173,8 @@ TEST(Oracle, GeneratedLoopBoundsHoldForEveryBranchRelation)
 
                     const Linted image = lintWith(
                         LintOptions{}, "loop", loopProgram(c), 0x1000);
-                    riscv::Ram ram(0x2000);
-                    ram.loadWords(0x1000, image.code);
-                    riscv::Hart hart(ram);
-                    hart.setDbtEnabled(false);
-                    hart.reset(0x1000);
                     BoundTracer trace(image);
-                    traceRun(
-                        hart, {&trace}, [&] { return hart.step(); },
-                        [&](std::uint32_t pc) { return ram.read(pc, 4); },
-                        [&] { return hart.halted(); }, 20'000);
-                    if (!hart.halted())
+                    if (!runLoop(image, trace))
                         continue; // the loop never ends
                     std::ostringstream label;
                     label << "relation " << relation << " ivFirst "
@@ -1225,17 +1235,8 @@ TEST(Oracle, LoopsThatWrapTheCompareDomainGetNoBound)
     const Linted image = lintWith(LintOptions{}, "edge", loopProgram(edge),
                                   0x1000);
     ASSERT_EQ(image.report.loopBounds.size(), 1u);
-    riscv::Ram ram(0x2000);
-    ram.loadWords(0x1000, image.code);
-    riscv::Hart hart(ram);
-    hart.setDbtEnabled(false);
-    hart.reset(0x1000);
     BoundTracer trace(image);
-    traceRun(
-        hart, {&trace}, [&] { return hart.step(); },
-        [&](std::uint32_t pc) { return ram.read(pc, 4); },
-        [&] { return hart.halted(); }, 20'000);
-    ASSERT_TRUE(hart.halted());
+    ASSERT_TRUE(runLoop(image, trace));
     expectSound(trace);
     EXPECT_EQ(trace.loopPasses().at(image.report.loopBounds[0].headerAddr)
                   .value,
